@@ -40,6 +40,10 @@ class VerificationReport:
     eq15_margin: float
     checks: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
+    # Witness positivity search: restarts run, and those that converged
+    # rather than stopping at the iteration cap.
+    witness_restarts: int = 0
+    witness_restarts_converged: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -51,6 +55,10 @@ class VerificationReport:
             "eq15_margin": self.eq15_margin,
             "checks": self.checks,
             "notes": self.notes,
+            "witness_search": {
+                "restarts": self.witness_restarts,
+                "converged": self.witness_restarts_converged,
+            },
         }
 
 
@@ -302,6 +310,8 @@ def verify_certificate(
             "margin": margin_ok,
         },
         notes=notes,
+        witness_restarts=est.restarts,
+        witness_restarts_converged=est.converged_restarts,
     )
 
 

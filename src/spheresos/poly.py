@@ -2,9 +2,16 @@
 
 Polynomials are stored as a map from exponent multi-indices to coefficients.
 All inputs and results are homogeneous; the total degree is carried as
-metadata so the zero polynomial keeps its degree.  Evaluation is vectorized
-over batches of points, which is what the sphere-optimization and sampling
-routines lean on.
+metadata so the zero polynomial keeps its degree.
+
+Evaluation is compiled: on first use a polynomial (or, for a matrix
+polynomial, the stored upper triangle, one column per entry) becomes an
+exponent matrix over its monomials and a coefficient matrix with one column
+per polynomial, plus a second pair for the union of the monomials of its
+first partials.  A batch of points is then evaluated with one power table per
+variable, one gather-product into a (points x monomials) matrix and one
+matmul, for values and gradients alike.  The compiled form is cached in
+``_arrays``; code that edits ``terms`` in place resets it to None.
 """
 
 from __future__ import annotations
@@ -20,6 +27,89 @@ _EVAL_CHUNK_ENTRIES = 4_000_000
 
 def _graded_lex_key(exps: tuple[int, ...]):
     return tuple(-e for e in exps)
+
+
+def _partial_terms(terms: dict, i: int) -> dict:
+    out = {}
+    for e, c in terms.items():
+        if e[i] > 0:
+            ne = list(e)
+            ne[i] -= 1
+            out[tuple(ne)] = c * e[i]
+    return out
+
+
+class _MonomialMap:
+    """Linear map from a batch of points to several polynomials' values.
+
+    ``exps`` (monomials x d) lists the union of the columns' monomials in
+    graded-lex order and ``coefs`` (monomials x columns) their coefficients,
+    so ``apply(X)`` is monomials(X) @ coefs, of shape (N, columns)."""
+
+    __slots__ = ("exps", "coefs", "_tables")
+
+    def __init__(self, d: int, columns: list[dict]):
+        keys = sorted(set().union(*columns), key=_graded_lex_key)
+        row = {e: r for r, e in enumerate(keys)}
+        self.exps = np.array(keys, dtype=np.int64).reshape(len(keys), d)
+        self.coefs = np.zeros((len(keys), len(columns)))
+        for col, terms in enumerate(columns):
+            for e, c in terms.items():
+                self.coefs[row[e], col] = c
+        # (variable, exponents 0..max, per-monomial exponent) for every
+        # variable that occurs; the others contribute a factor of 1.
+        self._tables = [
+            (i, np.arange(top + 1), self.exps[:, i].copy())
+            for i, top in enumerate(self.exps.max(axis=0, initial=0))
+            if top > 0
+        ]
+
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        n = X.shape[0]
+        nmon, ncol = self.coefs.shape
+        if nmon == 0:
+            return np.zeros((n, ncol))
+        out = np.empty((n, ncol))
+        chunk = max(1, _EVAL_CHUNK_ENTRIES // nmon)
+        for lo in range(0, n, chunk):
+            Xc = X[lo : lo + chunk]
+            mono = np.ones((Xc.shape[0], nmon))
+            for i, powers, col in self._tables:
+                mono *= (Xc[:, i : i + 1] ** powers)[:, col]
+            out[lo : lo + chunk] = mono @ self.coefs
+        return out
+
+
+class _Compiled:
+    """Values and first partials of polynomials sharing d, as two monomial maps.
+
+    Column c of ``values`` is polynomial c; column a * ncol + c of
+    ``partials`` is its partial derivative in variable a."""
+
+    __slots__ = ("d", "ncol", "values", "partials")
+
+    def __init__(self, d: int, columns: list[dict]):
+        self.d = d
+        self.ncol = len(columns)
+        self.values = _MonomialMap(d, columns)
+        self.partials = _MonomialMap(
+            d, [_partial_terms(terms, a) for a in range(d) for terms in columns]
+        )
+
+    def eval(self, X: np.ndarray) -> np.ndarray:
+        """Shape (N, ncol)."""
+        return self.values.apply(X)
+
+    def gradient(self, X: np.ndarray) -> np.ndarray:
+        """Shape (N, d, ncol)."""
+        return self.partials.apply(X).reshape(X.shape[0], self.d, self.ncol)
+
+
+def _as_points(X, d: int) -> np.ndarray:
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != d:
+        raise ValueError(f"points have shape {X.shape}, expected (N, {d})")
+    return X
 
 
 @dataclass
@@ -45,7 +135,7 @@ class Poly:
     float coefficients; exact zeros are not stored.
     """
 
-    __slots__ = ("d", "degree", "terms", "_arrays", "_grad_polys")
+    __slots__ = ("d", "degree", "terms", "_arrays")
 
     def __init__(self, d: int, degree: int, terms: dict[tuple[int, ...], float]):
         if d < 1:
@@ -68,7 +158,6 @@ class Poly:
         self.degree = degree
         self.terms = {e: c for e, c in clean.items() if c != 0.0}
         self._arrays = None
-        self._grad_polys = None
 
     # -- constructors -------------------------------------------------------
 
@@ -152,13 +241,7 @@ class Poly:
 
     def partial(self, i: int) -> "Poly":
         """Partial derivative with respect to variable i."""
-        terms = {}
-        for e, c in self.terms.items():
-            if e[i] > 0:
-                ne = list(e)
-                ne[i] -= 1
-                terms[tuple(ne)] = terms.get(tuple(ne), 0.0) + c * e[i]
-        return Poly(self.d, max(self.degree - 1, 0), terms)
+        return Poly(self.d, max(self.degree - 1, 0), _partial_terms(self.terms, i))
 
     def laplacian(self) -> "Poly":
         """Sum of second partials; degree drops by 2 (zero for degree < 2)."""
@@ -186,16 +269,9 @@ class Poly:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _ensure_arrays(self):
+    def _compiled(self) -> _Compiled:
         if self._arrays is None:
-            if self.terms:
-                items = self.sorted_terms()
-                E = np.array([e for e, _ in items], dtype=np.int64)
-                c = np.array([c for _, c in items])
-            else:
-                E = np.zeros((0, self.d), dtype=np.int64)
-                c = np.zeros(0)
-            self._arrays = (E, c)
+            self._arrays = _Compiled(self.d, [self.terms])
         return self._arrays
 
     def eval(self, x) -> float:
@@ -209,38 +285,11 @@ class Poly:
 
     def eval_many(self, X: np.ndarray) -> np.ndarray:
         """Evaluate at an (N, d) batch of points; returns shape (N,)."""
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.d:
-            raise ValueError(f"points have shape {X.shape}, expected (N, {self.d})")
-        E, c = self._ensure_arrays()
-        n = X.shape[0]
-        if len(c) == 0:
-            return np.zeros(n)
-        # Per-variable power tables plus gathers: O(N * max_exp) pow calls
-        # instead of O(N * terms) of them.
-        max_e = E.max(axis=0)
-        out = np.empty(n)
-        chunk = max(1, _EVAL_CHUNK_ENTRIES // len(c))
-        for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
-            acc = np.ones((hi - lo, len(c)))
-            for i in range(self.d):
-                if max_e[i] == 0:
-                    continue
-                table = X[lo:hi, i : i + 1] ** np.arange(max_e[i] + 1)[None, :]
-                acc *= table[:, E[:, i]]
-            out[lo:hi] = acc @ c
-        return out
+        return self._compiled().eval(_as_points(X, self.d))[:, 0]
 
     def gradient_many(self, X: np.ndarray) -> np.ndarray:
         """Gradients at an (N, d) batch of points; returns shape (N, d)."""
-        if self._grad_polys is None:
-            self._grad_polys = [self.partial(i) for i in range(self.d)]
-        X = np.asarray(X, dtype=float)
-        out = np.empty_like(X)
-        for i, g in enumerate(self._grad_polys):
-            out[:, i] = g.eval_many(X)
-        return out
+        return self._compiled().gradient(_as_points(X, self.d))[:, :, 0]
 
     # -- serialization ------------------------------------------------------
 
@@ -271,7 +320,7 @@ class MatPoly:
     both (i, j) and (j, i).  All entries share d and degree.
     """
 
-    __slots__ = ("d", "k", "degree", "entries")
+    __slots__ = ("d", "k", "degree", "entries", "_arrays")
 
     def __init__(self, d: int, k: int, degree: int, entries: dict[tuple[int, int], Poly]):
         if k < 1:
@@ -290,6 +339,7 @@ class MatPoly:
         self.k = k
         self.degree = degree
         self.entries = clean
+        self._arrays = None
 
     @classmethod
     def zero(cls, d: int, k: int, degree: int) -> "MatPoly":
@@ -359,15 +409,38 @@ class MatPoly:
 
     __call__ = eval
 
+    def _compiled(self) -> tuple[_Compiled, np.ndarray, np.ndarray]:
+        # One column per stored (i, j), i <= j, in sorted order.
+        if self._arrays is None:
+            keys = sorted(self.entries)
+            rows = np.array([i for i, _ in keys], dtype=np.int64)
+            cols = np.array([j for _, j in keys], dtype=np.int64)
+            compiled = _Compiled(self.d, [self.entries[key].terms for key in keys])
+            self._arrays = (compiled, rows, cols)
+        return self._arrays
+
     def eval_many(self, X: np.ndarray) -> np.ndarray:
-        """Values at an (N, d) batch; returns shape (N, k, k), symmetric."""
-        X = np.asarray(X, dtype=float)
+        """Values at an (N, d) batch; returns shape (N, k, k), symmetric.
+
+        Each stored entry is written to both (i, j) and (j, i), so the
+        symmetry is exact."""
+        X = _as_points(X, self.d)
+        compiled, rows, cols = self._compiled()
+        vals = compiled.eval(X)
         out = np.zeros((X.shape[0], self.k, self.k))
-        for (i, j), p in self.entries.items():
-            v = p.eval_many(X)
-            out[:, i, j] = v
-            if i != j:
-                out[:, j, i] = v
+        out[:, rows, cols] = vals
+        out[:, cols, rows] = vals
+        return out
+
+    def gradient_many(self, X: np.ndarray) -> np.ndarray:
+        """Partial derivatives at an (N, d) batch; returns shape (N, d, k, k),
+        entry [n, a] being the symmetric matrix dF/dx_a at point n."""
+        X = _as_points(X, self.d)
+        compiled, rows, cols = self._compiled()
+        grads = compiled.gradient(X)
+        out = np.zeros((X.shape[0], self.d, self.k, self.k))
+        out[:, :, rows, cols] = grads
+        out[:, :, cols, rows] = grads
         return out
 
     def to_dict(self) -> dict:
@@ -425,8 +498,10 @@ class SupNormEstimate:
     """Multistart estimate of the range of a polynomial on the sphere.
 
     max_est / min_est are inner bounds (max_est <= true max, min_est >= true
-    min); converged is False if some restart hit the iteration cap with a
-    non-negligible Riemannian gradient.
+    min).  A restart has converged when both its ascent to the maximum and
+    its descent to the minimum stopped with a negligible Riemannian gradient
+    or a collapsed step rather than at the iteration cap; converged_restarts
+    counts them, and converged says that all of them did.
     """
 
     max_est: float
@@ -435,6 +510,7 @@ class SupNormEstimate:
     argmin: SpherePoint
     converged: bool
     restarts: int
+    converged_restarts: int
 
 
 def _project_rows(X: np.ndarray) -> np.ndarray:
@@ -446,7 +522,9 @@ def _ascend(value_grad, X0: np.ndarray, iters: int, grad_tol: float):
 
     value_grad maps an (R, d) batch to (values (R,), euclidean grads (R, d)).
     Each row is an independent restart; moves are accepted only on strict
-    improvement, so per-restart trajectories are monotone.
+    improvement, so per-restart trajectories are monotone.  Each step
+    evaluates only the rows still moving.  Returns the final values, the
+    points and a per-row flag: gradient below tol or step collapsed.
     """
     X = X0.copy()
     v, G = value_grad(X)
@@ -456,42 +534,19 @@ def _ascend(value_grad, X0: np.ndarray, iters: int, grad_tol: float):
         Gr = G - (np.sum(G * X, axis=1))[:, None] * X
         gn2 = np.sum(Gr * Gr, axis=1)
         converged |= gn2 <= grad_tol**2
-        active = ~converged & (step > 1e-14)
-        if not active.any():
+        active = np.flatnonzero(~converged & (step > 1e-14))
+        if active.size == 0:
             break
-        Xt = _project_rows(X + step[:, None] * Gr)
+        Xt = _project_rows(X[active] + step[active, None] * Gr[active])
         vt, Gt = value_grad(Xt)
-        improved = active & (vt > v)
-        X[improved] = Xt[improved]
-        v[improved] = vt[improved]
-        G[improved] = Gt[improved]
-        step[improved] *= 1.3
-        step[active & ~improved] *= 0.5
-    return v, X, bool(np.all(converged | (step <= 1e-14)))
-
-
-def _matrix_value_grad(F: MatPoly, which: str):
-    partials = {
-        key: [p.partial(i) for i in range(F.d)] for key, p in F.entries.items()
-    }
-
-    def value_grad(X: np.ndarray):
-        vals = F.eval_many(X)
-        w, V = np.linalg.eigh(vals)
-        idx = -1 if which == "max" else 0
-        lam = w[:, idx]
-        vec = V[:, :, idx]
-        G = np.zeros_like(X)
-        for (i, j), plist in partials.items():
-            factor = vec[:, i] * vec[:, j]
-            if i != j:
-                factor = 2.0 * factor
-            for a, pa in enumerate(plist):
-                if pa.terms:
-                    G[:, a] += factor * pa.eval_many(X)
-        return lam, G
-
-    return value_grad
+        better = vt > v[active]
+        moved = active[better]
+        X[moved] = Xt[better]
+        v[moved] = vt[better]
+        G[moved] = Gt[better]
+        step[moved] *= 1.3
+        step[active[~better]] *= 0.5
+    return v, X, converged | (step <= 1e-14)
 
 
 def sup_norm_sphere(
@@ -510,28 +565,22 @@ def sup_norm_sphere(
         raise ValueError("restarts must be >= 1")
     X0 = sample_sphere_array(target.d, restarts, seed)
 
-    if isinstance(target, MatPoly):
-        vg_max = _matrix_value_grad(target, "max")
-        vg_min = _matrix_value_grad(target, "min")
+    def value_grad(X, sign):
+        # sign * f and its gradient; for a matrix the extreme eigenvalue on
+        # the side of sign, whose gradient is v^T (dF/dx_a) v.
+        vals, grads = target.eval_many(X), target.gradient_many(X)
+        if isinstance(target, MatPoly):
+            w, V = np.linalg.eigh(vals)
+            pick = -1 if sign > 0 else 0
+            vec = V[:, :, pick]
+            vals = w[:, pick]
+            grads = np.einsum("naij,ni,nj->na", grads, vec, vec)
+        return sign * vals, sign * grads
 
-        def neg_min(X):
-            v, G = vg_min(X)
-            return -v, -G
-
-        vmax, Xmax, conv1 = _ascend(vg_max, X0, iters, grad_tol)
-        vmin, Xmin, conv2 = _ascend(neg_min, X0, iters, grad_tol)
-        vmin = -vmin
-    else:
-        def vg(X):
-            return target.eval_many(X), target.gradient_many(X)
-
-        def neg_vg(X):
-            v, G = vg(X)
-            return -v, -G
-
-        vmax, Xmax, conv1 = _ascend(vg, X0, iters, grad_tol)
-        vmin, Xmin, conv2 = _ascend(neg_vg, X0, iters, grad_tol)
-        vmin = -vmin
+    vmax, Xmax, conv_max = _ascend(lambda X: value_grad(X, 1.0), X0, iters, grad_tol)
+    vmin, Xmin, conv_min = _ascend(lambda X: value_grad(X, -1.0), X0, iters, grad_tol)
+    vmin = -vmin
+    converged_restarts = int(np.count_nonzero(conv_max & conv_min))
 
     imax = int(np.argmax(vmax))
     imin = int(np.argmin(vmin))
@@ -540,6 +589,7 @@ def sup_norm_sphere(
         min_est=float(vmin[imin]),
         argmax=SpherePoint(target.d, _project_rows(Xmax[imax][None, :])[0]),
         argmin=SpherePoint(target.d, _project_rows(Xmin[imin][None, :])[0]),
-        converged=conv1 and conv2,
+        converged=converged_restarts == restarts,
         restarts=restarts,
+        converged_restarts=converged_restarts,
     )

@@ -14,7 +14,7 @@ from spheresos.certificate import (
     sphere_quadrature,
     verify_certificate,
 )
-from spheresos.poly import MatPoly, Poly, sample_sphere_array
+from spheresos.poly import MatPoly, Poly, sample_sphere_array, sup_norm_sphere
 from spheresos.rho import rho2
 
 
@@ -159,6 +159,22 @@ def test_tampered_certificate_fails_funk_hecke():
     rep = verify_certificate(F, bad, seed=10)
     assert not rep.checks["funk_hecke"]
     assert not rep.passed
+
+
+def test_report_carries_witness_search_counts():
+    rng = np.random.default_rng(8)
+    F = rand_homog(3, 4, rng)
+    cert = build_certificate(F, ell=12, restarts=10, seed=12)
+    est = sup_norm_sphere(cert.H.reconstruct(), restarts=10, seed=12)
+    rep = cert.verification
+    assert rep.witness_restarts == 10
+    assert rep.witness_restarts_converged == est.converged_restarts
+    assert rep.to_dict()["witness_search"] == {
+        "restarts": 10,
+        "converged": est.converged_restarts,
+    }
+    capped = any("iteration cap" in note for note in rep.notes)
+    assert capped == (rep.witness_restarts_converged < rep.witness_restarts)
 
 
 def test_halved_delta_fails_margin():

@@ -234,3 +234,104 @@ def test_zero_polynomial_carries_degree():
     z = Poly.zero(3, 4)
     assert z.degree == 4 and z.terms == {}
     assert z.eval_many(sample_sphere_array(3, 3, seed=0)).tolist() == [0.0, 0.0, 0.0]
+
+
+# -- compiled evaluation against a termwise reference ------------------------
+
+def termwise(p, x):
+    """Plain-Python value of p at the point x, one term at a time."""
+    return sum(c * math.prod(xi**e for xi, e in zip(x, exps)) for exps, c in p.terms.items())
+
+
+def scalar_cases():
+    rng = np.random.default_rng(20)
+    return [
+        Poly.zero(3, 4),
+        Poly.constant(3, -2.5),
+        rand_homog(3, 4, rng),
+        rand_homog(5, 6, rng),
+    ]
+
+
+@pytest.mark.parametrize("p", scalar_cases(), ids=["zero", "constant", "quartic_d3", "sextic_d5"])
+def test_compiled_eval_and_gradient_match_termwise(p):
+    X = np.random.default_rng(21).standard_normal((5, p.d))
+    vals = p.eval_many(X)
+    grads = p.gradient_many(X)
+    assert vals.shape == (5,) and grads.shape == (5, p.d)
+    for x, v, g in zip(X, vals, grads):
+        assert v == pytest.approx(termwise(p, x), rel=1e-12, abs=1e-12)
+        for a in range(p.d):
+            assert g[a] == pytest.approx(termwise(p.partial(a), x), rel=1e-12, abs=1e-12)
+
+
+def test_compiled_eval_across_row_chunks(monkeypatch):
+    # with a tiny chunk a batch of 11 rows is evaluated in several pieces
+    from spheresos import poly as poly_mod
+
+    p = rand_homog(3, 4, np.random.default_rng(22))
+    X = np.random.default_rng(23).standard_normal((11, 3))
+    whole_vals, whole_grads = p.eval_many(X), p.gradient_many(X)
+    monkeypatch.setattr(poly_mod, "_EVAL_CHUNK_ENTRIES", 40)
+    # rows are independent; only BLAS summation order may differ
+    assert np.allclose(p.eval_many(X), whole_vals, rtol=1e-13, atol=1e-14)
+    assert np.allclose(p.gradient_many(X), whole_grads, rtol=1e-13, atol=1e-14)
+    for x, v in zip(X, whole_vals):
+        assert v == pytest.approx(termwise(p, x), rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_compiled_matpoly_eval_and_gradient(k):
+    rng = np.random.default_rng(24 + k)
+    if k == 3:  # sparse: (0, 1) and (1, 2) absent
+        entries = {key: rand_homog(3, 4, rng) for key in [(0, 0), (0, 2), (1, 1), (2, 2)]}
+    else:
+        entries = {(0, 0): rand_homog(3, 4, rng)}
+    F = MatPoly(3, k, 4, entries)
+    X = np.random.default_rng(26).standard_normal((4, 3))
+    vals = F.eval_many(X)
+    grads = F.gradient_many(X)
+    assert vals.shape == (4, k, k) and grads.shape == (4, 3, k, k)
+    assert np.array_equal(vals, vals.transpose(0, 2, 1))
+    assert np.array_equal(grads, grads.transpose(0, 1, 3, 2))
+    for n, x in enumerate(X):
+        for i in range(k):
+            for j in range(k):
+                p = F.entry(i, j)
+                assert vals[n, i, j] == pytest.approx(termwise(p, x), rel=1e-12, abs=1e-12)
+                for a in range(3):
+                    ref = termwise(p.partial(a), x)
+                    assert grads[n, a, i, j] == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+
+def test_edited_terms_recompile_after_reset():
+    p = Poly.monomial(3, (2, 0, 0))
+    x = np.array([[0.5, 0.5, 0.0]])
+    assert p.eval_many(x)[0] == 0.25
+    p.terms[(0, 2, 0)] = 1.0
+    p._arrays = None
+    assert p.eval_many(x)[0] == 0.5
+    assert p.gradient_many(x)[0].tolist() == [1.0, 1.0, 0.0]
+
+
+# -- one sup-norm path for scalars and matrices ------------------------------
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_sup_norm_scalar_equals_one_by_one_matrix(seed):
+    p = rand_homog(3, 4, np.random.default_rng(30 + seed))
+    a = sup_norm_sphere(p, restarts=12, seed=seed)
+    b = sup_norm_sphere(MatPoly.diagonal([p]), restarts=12, seed=seed)
+    assert b.max_est == pytest.approx(a.max_est, rel=1e-12)
+    assert b.min_est == pytest.approx(a.min_est, rel=1e-12)
+    assert b.converged == a.converged
+    assert b.converged_restarts == a.converged_restarts
+
+
+def test_sup_norm_converged_restart_count():
+    p = rand_homog(3, 4, np.random.default_rng(32))
+    done = sup_norm_sphere(p, restarts=10, seed=0)
+    assert done.converged and done.converged_restarts == 10
+    # two steps are too few for any restart to settle
+    capped = sup_norm_sphere(p, restarts=10, seed=0, iters=2)
+    assert not capped.converged
+    assert capped.converged_restarts < capped.restarts == 10

@@ -219,4 +219,5 @@ def test_degree_overflow_rejected():
         tz.build(basis, 5, [0.0, 0.0, 1.0])
     with pytest.raises(ValueError):
         tz.build_single_gegenbauer(basis, 4, 2)
+    with pytest.raises(ValueError):
         tz.build_single_gegenbauer(basis, 5, 2)
