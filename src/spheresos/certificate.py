@@ -10,6 +10,10 @@ integral of q(<x, y>)^2 H(y), an L-SOS representation.  Validity is checked
 algebraically through the diagonal (Funk-Hecke) action on harmonic
 coefficients plus a multistart positivity search on the witness; the range
 normalization of the original input is recorded so callers can undo it.
+
+Construction and verification share one computation of the targets (the
+harmonic parts of G + delta), and scalar and matrix inputs take the same
+path: only the identity embedding |x|^{2n} (times I) depends on the type.
 """
 
 from __future__ import annotations
@@ -19,11 +23,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import toeplitz
 from .gegenbauer import GegenbauerBasis
-from .harmonic import HarmonicDecomp, b_constant, decompose, decompose_matrix
+from .harmonic import HarmonicDecomp, b_constant, decompose
 from .poly import MatPoly, Poly, sup_norm_sphere
-from .rho import DegenerateKernelError, KernelSpec, rho2, rho4, rho_tilde
+from .rho import (
+    DegenerateKernelError, KernelSpec, _cached_basis, kernel_lambdas, rho2, rho4, rho_tilde,
+)
 
 
 class KernelInversionError(ValueError):
@@ -145,10 +150,24 @@ def _trivial_spec(d: int, ell: int) -> KernelSpec:
     return KernelSpec(d=d, ell=ell, n=0, e=e, lambdas=np.zeros(0), rho_value=0.0, delta=0.0)
 
 
-def _identity_like(F, scale: float):
+def _identity_like(F, degree: int, value: float):
+    # value * |x|^degree, times I when F is matrix-valued.
     if isinstance(F, MatPoly):
-        return MatPoly.identity(F.d, F.k, F.degree, scale)
-    return Poly.constant(F.d, scale).mul_norm_power(F.degree // 2)
+        return MatPoly.identity(F.d, F.k, degree, value)
+    return Poly.constant(F.d, value).mul_norm_power(degree // 2)
+
+
+def _targets(F, normalization: tuple[float, float], delta: float):
+    """What a witness must reproduce: G = (F - m|x|^{2n}) / (M - m) (F itself
+    at degree 0), its decomposition, and the harmonic parts of G + delta.
+
+    A valid witness has lambda_{2k} H_{2k} equal to part k of G + delta."""
+    m, M = normalization
+    G = F if F.degree == 0 else (F - _identity_like(F, F.degree, m)) * (1.0 / (M - m))
+    decomp = decompose(G)
+    parts = list(decomp.parts)
+    parts[0] = parts[0] + _identity_like(G, 0, delta)
+    return G, decomp, parts
 
 
 def build_certificate(
@@ -164,72 +183,53 @@ def build_certificate(
     F must be homogeneous of even degree 2n.  When bounds is omitted the
     range [m, M] on the sphere is estimated by multistart optimization (not
     certified); delta defaults to the theorem value (B_{2n}/2) rho_{2n}(d, L).
-    The returned certificate targets the normalized G in [0, 1]; on witness
-    positivity failure it is returned with verification.passed False rather
-    than raising (user-supplied slacks may legitimately fail)."""
+    A constant (n = 0) needs no kernel and is certified as F + delta with
+    normalization (0, 1); an input constant on the sphere is normalized by
+    (m, m + 1).  The returned certificate targets the normalized G in
+    [0, 1]; on witness positivity failure it is returned with
+    verification.passed False rather than raising (user-supplied slacks may
+    legitimately fail)."""
     if F.degree % 2 != 0:
         raise ValueError("input degree must be even")
     n = F.degree // 2
     d = F.d
 
     if n == 0:
-        H = decompose_matrix(F) if isinstance(F, MatPoly) else decompose(F)
-        cert = Certificate(
-            spec=_trivial_spec(d, ell), delta=0.0 if delta is None else delta,
-            normalization=(0.0, 1.0), H=H,
-        )
-        cert.verification = verify_certificate(F, cert, restarts=restarts, seed=seed)
-        return cert
-
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-
-    if bounds is None:
-        est = sup_norm_sphere(F, restarts=restarts, seed=seed)
-        m, M = est.min_est, est.max_est
+        spec, normalization = _trivial_spec(d, ell), (0.0, 1.0)
     else:
-        m, M = float(bounds[0]), float(bounds[1])
-    spread = M - m
-    if spread < 1e-12:
-        # Constant on the sphere: the shifted polynomial vanishes there and
-        # only the slack remains.
-        spread_free = True
-        G = F - _identity_like(F, m)
-    else:
-        spread_free = False
-        G = (F - _identity_like(F, m)) * (1.0 / spread)
-
-    try:
-        spec = _kernel_for(d, ell, n)
-    except DegenerateKernelError as exc:
-        raise KernelInversionError(
-            f"kernel non-invertible on needed harmonics: {exc}"
-        ) from exc
-    if np.any(spec.lambdas <= 0):
-        raise KernelInversionError(
-            f"kernel non-invertible on needed harmonics: lambdas={spec.lambdas.tolist()}"
-        )
+        if ell < 1:
+            raise ValueError("ell must be >= 1")
+        if bounds is None:
+            est = sup_norm_sphere(F, restarts=restarts, seed=seed)
+            m, M = est.min_est, est.max_est
+        else:
+            m, M = float(bounds[0]), float(bounds[1])
+        if M - m < 1e-12:
+            # Constant on the sphere: the shifted polynomial vanishes there and
+            # only the slack remains.
+            M = m + 1.0
+        normalization = (m, M)
+        try:
+            spec = _kernel_for(d, ell, n)
+        except DegenerateKernelError as exc:
+            raise KernelInversionError(
+                f"kernel non-invertible on needed harmonics: {exc}"
+            ) from exc
+        if np.any(spec.lambdas <= 0):
+            raise KernelInversionError(
+                f"kernel non-invertible on needed harmonics: lambdas={spec.lambdas.tolist()}"
+            )
     if delta is None:
         delta = spec.delta
 
-    decomp = decompose_matrix(G) if isinstance(G, MatPoly) else decompose(G)
-    parts = list(decomp.parts)
-    parts[0] = parts[0] + _identity_like_part(G, delta)
+    _, decomp, parts = _targets(F, normalization, delta)
     for k in range(1, n + 1):
         parts[k] = parts[k] * (1.0 / spec.lambdas[k - 1])
-    H = HarmonicDecomp(n=n, parts=parts, matrix=isinstance(G, MatPoly), residual=decomp.residual)
+    H = HarmonicDecomp(n=n, parts=parts, matrix=decomp.matrix, residual=decomp.residual)
 
-    norm_pair = (m, m + 1.0) if spread_free else (m, M)
-    cert = Certificate(spec=spec, delta=delta, normalization=norm_pair, H=H)
+    cert = Certificate(spec=spec, delta=delta, normalization=normalization, H=H)
     cert.verification = verify_certificate(F, cert, restarts=restarts, seed=seed)
     return cert
-
-
-def _identity_like_part(G, value: float):
-    # Degree-0 harmonic part equal to value (times I in the matrix case).
-    if isinstance(G, MatPoly):
-        return MatPoly.identity(G.d, G.k, 0, value)
-    return Poly.constant(G.d, value)
 
 
 def verify_certificate(
@@ -249,34 +249,26 @@ def verify_certificate(
     harmonic parts of the normalized input coefficient-wise; multistart
     positivity of the witness; and the slack margin
     delta - (B_{2n}/2) sum |1/lambda_{2k} - 1| >= 0.  Report-only."""
-    if F.d != cert.spec.d:
+    spec = cert.spec
+    if F.d != spec.d:
         raise ValueError("dimension mismatch between input and certificate")
     n = F.degree // 2
     if n != cert.H.n:
         raise ValueError("degree mismatch between input and certificate")
     notes = []
 
-    e_norm_err = abs(float(np.linalg.norm(cert.spec.e)) - 1.0)
+    e_norm_err = abs(float(np.linalg.norm(spec.e)) - 1.0)
     lam_err = 0.0
     if n >= 1:
-        basis = GegenbauerBasis(cert.spec.d, cert.spec.ell + 2 * n)
-        for k in range(1, n + 1):
-            T = toeplitz.build_single_gegenbauer(basis, cert.spec.ell, 2 * k)
-            lam = float(cert.spec.e @ T.matrix @ cert.spec.e)
-            lam_err = max(lam_err, abs(lam - cert.spec.lambdas[k - 1]))
+        lambdas = kernel_lambdas(_cached_basis(spec.d, spec.ell + 2 * n), spec.ell, n, spec.e)
+        lam_err = float(np.max(np.abs(lambdas - spec.lambdas)))
     kernel_ok = e_norm_err <= tol_lambda and lam_err <= tol_lambda
 
-    m, M = cert.normalization
-    spread = M - m
-    G = (F - _identity_like(F, m)) * (1.0 / spread) if n >= 1 else F
-    decomp = decompose_matrix(G) if isinstance(G, MatPoly) else decompose(G)
+    G, _, targets = _targets(F, cert.normalization, cert.delta)
     scale = max(G.max_abs_coef(), 1.0)
     fh_resid = 0.0
-    for k in range(n + 1):
-        target = decomp.parts[k]
-        if k == 0:
-            target = target + _identity_like_part(G, cert.delta)
-        lam_k = 1.0 if k == 0 else float(cert.spec.lambdas[k - 1])
+    for k, target in enumerate(targets):
+        lam_k = 1.0 if k == 0 else float(spec.lambdas[k - 1])
         diff = (lam_k * cert.H.parts[k]) - target
         fh_resid = max(fh_resid, diff.max_abs_coef() / scale)
     funk_hecke_ok = fh_resid <= tol_funk_hecke
@@ -289,12 +281,12 @@ def verify_certificate(
 
     bound = 0.0
     if n >= 1:
-        bound = 0.5 * b_constant(n) * float(np.sum(np.abs(1.0 / cert.spec.lambdas - 1.0)))
+        bound = 0.5 * b_constant(n) * float(np.sum(np.abs(1.0 / spec.lambdas - 1.0)))
     margin = cert.delta - bound
     margin_ok = margin >= -tol_margin
 
-    if cert.spec.skipped_directions:
-        notes.append(f"{cert.spec.skipped_directions} kernel sweep directions skipped")
+    if spec.skipped_directions:
+        notes.append(f"{spec.skipped_directions} kernel sweep directions skipped")
 
     return VerificationReport(
         passed=kernel_ok and funk_hecke_ok and witness_ok and margin_ok,

@@ -5,8 +5,10 @@ f = sum_k |x|^(2(n-k)) f_{2k} with each f_{2k} harmonic of degree 2k.  The
 decomposition is recovered from iterated Laplacians: applying Delta^m to the
 expansion multiplies the f_{2k} term by a known positive coefficient and
 drops the |x| power, which yields a triangular system solved by
-back-substitution.  The same machinery applies entry-wise to matrix
-polynomials.
+back-substitution.  Scalar and matrix polynomials share the Laplacian,
+|x|^2 multiplication and linear combinations used here, so one function
+decomposes both (a matrix polynomial entry by entry, through the same
+operations).
 """
 
 from __future__ import annotations
@@ -92,45 +94,27 @@ class HarmonicDecomp:
         )
 
 
-def _decompose_scalar(f: Poly) -> list[Poly]:
+def decompose(f: Poly | MatPoly) -> HarmonicDecomp:
+    """Fourier-Laplace decomposition of an even-degree homogeneous polynomial,
+    scalar or symmetric matrix-valued."""
+    if f.degree % 2 != 0:
+        raise ValueError(f"degree {f.degree} is odd; only even degrees decompose here")
     n = f.degree // 2
-    d = f.d
     laps = [f]
     for _ in range(n):
         laps.append(laps[-1].laplacian())
-    parts: list[Poly] = [None] * (n + 1)
+    parts = [None] * (n + 1)
     for m in range(n, -1, -1):
         j = n - m
         acc = laps[m]
         for k in range(j):
-            acc = acc - r_coefficient(n, d, m, k) * parts[k].mul_norm_power(j - k)
-        pivot = r_coefficient(n, d, m, j)
-        parts[j] = acc * (1.0 / pivot)
-    return parts
-
-
-def decompose(f: Poly) -> HarmonicDecomp:
-    """Fourier-Laplace decomposition of an even-degree homogeneous polynomial."""
-    if f.degree % 2 != 0:
-        raise ValueError(f"degree {f.degree} is odd; only even degrees decompose here")
-    parts = _decompose_scalar(f)
-    decomp = HarmonicDecomp(n=f.degree // 2, parts=parts, matrix=False)
+            acc = acc - r_coefficient(n, f.d, m, k) * parts[k].mul_norm_power(j - k)
+        parts[j] = acc * (1.0 / r_coefficient(n, f.d, m, j))
+    decomp = HarmonicDecomp(n=n, parts=parts, matrix=isinstance(f, MatPoly))
     scale = max(f.max_abs_coef(), 1.0)
     decomp.residual = (decomp.reconstruct() - f).max_abs_coef() / scale
     return decomp
 
 
-def decompose_matrix(F: MatPoly) -> HarmonicDecomp:
-    """Entry-wise decomposition of a symmetric matrix polynomial."""
-    if F.degree % 2 != 0:
-        raise ValueError(f"degree {F.degree} is odd; only even degrees decompose here")
-    n = F.degree // 2
-    per_entry = {key: _decompose_scalar(p) for key, p in F.entries.items()}
-    parts = []
-    for k in range(n + 1):
-        entries = {key: ps[k] for key, ps in per_entry.items() if ps[k].terms}
-        parts.append(MatPoly(F.d, F.k, 2 * k, entries))
-    decomp = HarmonicDecomp(n=n, parts=parts, matrix=True)
-    scale = max(F.max_abs_coef(), 1.0)
-    decomp.residual = (decomp.reconstruct() - F).max_abs_coef() / scale
-    return decomp
+# Kept as a name of its own for callers that import it.
+decompose_matrix = decompose

@@ -58,21 +58,28 @@ def _canonical_sign(e: np.ndarray) -> np.ndarray:
     return -e if e[pivot] < 0 else e
 
 
+def kernel_lambdas(basis: GegenbauerBasis, ell: int, n: int, e: np.ndarray) -> np.ndarray:
+    """lambda_{2k} = e^T T[C_{2k}/C_{2k}(1)] e for k = 1..n, with e taken as
+    given (a unit e makes lambda_0 = 1)."""
+    lambdas = np.empty(n)
+    for k in range(1, n + 1):
+        T = toeplitz.build_single_gegenbauer(basis, ell, 2 * k)
+        lambdas[k - 1] = float(e @ T.matrix @ e)
+    return lambdas
+
+
 def kernel_spec_from_e(
     basis: GegenbauerBasis, d: int, ell: int, n: int, e: np.ndarray
 ) -> KernelSpec:
-    """Build a KernelSpec from a unit coefficient vector by recomputing each
-    lambda_{2k} = e^T T[C_{2k}/C_{2k}(1)] e individually.
+    """Build a KernelSpec from a coefficient vector, normalized to unit
+    length, with each lambda_{2k} recomputed by kernel_lambdas.
 
     A non-positive eigenvalue (the kernel cannot reach that harmonic order,
     e.g. ell < n) yields rho_value = inf; certificate construction guards
     against such specs."""
     e = np.asarray(e, dtype=float)
     e = _canonical_sign(e / np.linalg.norm(e))
-    lambdas = np.empty(n)
-    for k in range(1, n + 1):
-        T = toeplitz.build_single_gegenbauer(basis, ell, 2 * k)
-        lambdas[k - 1] = float(e @ T.matrix @ e)
+    lambdas = kernel_lambdas(basis, ell, n, e)
     if np.any(lambdas <= 0):
         rho_value = math.inf
     else:

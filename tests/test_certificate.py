@@ -110,6 +110,20 @@ def test_certificate_constant_edge_case():
     assert cert.verification.passed
 
 
+def test_certificate_constant_with_user_delta():
+    # Build and verify normalize a constant the same way, so a user slack
+    # ends up in the witness: H = F + delta, reproduced exactly.
+    scalar = Poly.constant(3, 0.5)
+    matrix = MatPoly.identity(3, 2, 0, 0.5)
+    for F, shifted in ((scalar, Poly.constant(3, 0.6)), (matrix, MatPoly.identity(3, 2, 0, 0.6))):
+        cert = build_certificate(F, ell=3, delta=0.1)
+        assert cert.delta == 0.1
+        assert cert.normalization == (0.0, 1.0)
+        assert cert.verification.passed
+        assert cert.verification.funk_hecke_residual == 0.0
+        assert (cert.H.parts[0] - shifted).max_abs_coef() == 0.0
+
+
 def test_certificate_random_quartic():
     rng = np.random.default_rng(3)
     F = rand_homog(3, 4, rng)

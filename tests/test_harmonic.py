@@ -121,6 +121,23 @@ def test_matrix_round_trip_random_quartic():
     assert (recon - F).max_abs_coef() < 1e-9
     for part in dec.parts:
         assert part.laplacian().max_abs_coef() < 1e-9 * max(F.max_abs_coef(), 1.0)
+    # A matrix decomposes entry by entry, bit for bit as each scalar entry
+    # does; also with an absent off-diagonal entry and a sparse one.
+    sparse = MatPoly(3, 3, 4, {
+        (0, 0): rand_homog(3, 4, rng),
+        (0, 1): Poly.monomial(3, (4, 0, 0)),
+        (1, 1): rand_homog(3, 4, rng),
+        (2, 2): Poly.monomial(3, (2, 2, 0), -0.5),
+    })
+    for G in (F, sparse):
+        dec = decompose(G)
+        assert dec.matrix
+        for k, part in enumerate(dec.parts):
+            assert part.degree == 2 * k
+            for i, j in G.entries:
+                assert part.entry(i, j).terms == decompose(G.entry(i, j)).parts[k].terms
+    for part in decompose(sparse).parts:
+        assert (0, 2) not in part.entries and (1, 2) not in part.entries
 
 
 def test_b_constant_values():
