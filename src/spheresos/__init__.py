@@ -14,7 +14,7 @@ from .certificate import (
     sphere_quadrature,
     verify_certificate,
 )
-from .gegenbauer import GegenbauerBasis, basis_new, harmonic_dim, weight_ratio
+from .gegenbauer import GegenbauerBasis, harmonic_dim, weight_ratio
 from .harmonic import HarmonicDecomp, b_constant, decompose, decompose_matrix, r_coefficient
 from .poly import MatPoly, Poly, SpherePoint, sample_sphere, sup_norm_sphere
 from .quantum import (
@@ -58,7 +58,6 @@ __all__ = [
     "SpherePoint",
     "ToeplitzOp",
     "b_constant",
-    "basis_new",
     "bss_gap_certificate",
     "build",
     "build_certificate",

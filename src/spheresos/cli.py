@@ -103,7 +103,7 @@ def _cmd_rho_table(args) -> int:
         else:
             ells = [m * d for m in _parse_int_spec(args.ell_mult)]
         _check_cap(max(ells) + 2 * max(n_list))
-        rows.extend(rho_mod.rate_table([d], ells, n_list, jobs=args.jobs))
+        rows.extend(rho_mod.rate_table([d], ells, n_list))
     rows.sort(key=lambda r: (r["d"], r["ell"], r["n"]))
     config = {"command": "rho-table", "seed": args.seed, "d": args.d,
               "ell": args.ell, "ell_mult": args.ell_mult, "n": args.n}
@@ -231,8 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
         "certificate construction and verification, Best Separable State bounds.",
     )
     parser.add_argument("--seed", type=int, default=0, help="RNG seed recorded in artifacts")
-    parser.add_argument("--jobs", type=int, default=os.cpu_count(),
-                        help="worker threads for grid sweeps (default: logical cores)")
+    parser.add_argument("--jobs", type=int, default=None,
+                        help="accepted for compatibility and ignored: grid sweeps run serially")
     parser.add_argument("--tol", type=float, default=None,
                         help="override the witness-positivity / margin tolerance")
     sub = parser.add_subparsers(dest="command", required=True)

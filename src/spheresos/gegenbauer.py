@@ -141,8 +141,3 @@ class GegenbauerBasis:
         vals = self.orthonormal_values(t, kmax)
         scale = coeffs / np.sqrt(self.endpoint_values[: kmax + 1])
         return np.tensordot(scale, vals, axes=(0, 0))
-
-
-def basis_new(d: int, max_degree: int) -> GegenbauerBasis:
-    """Construct the degree-capped Gegenbauer family for dimension d."""
-    return GegenbauerBasis(d, max_degree)

@@ -201,7 +201,9 @@ def rate_table(d_list, ell_list, n_list, jobs: int | None = None) -> list[dict]:
     """One row per (d, ell, n) combination, sorted canonically.
 
     rho2 / rho4 are filled for n = 1 / n = 2; rho_bound is the best certified
-    value available (direct quantity or rho_from_tilde of the proxy)."""
+    value available (direct quantity or rho_from_tilde of the proxy).  Cells
+    are computed serially; jobs is accepted for compatibility and ignored
+    (a thread pool measured slower than serial)."""
     cells = sorted(
         (d, ell, n) for d in d_list for ell in ell_list for n in n_list
     )
@@ -229,11 +231,4 @@ def rate_table(d_list, ell_list, n_list, jobs: int | None = None) -> list[dict]:
         row["rho_bound"] = min(candidates) if candidates else None
         return row
 
-    if jobs is not None and jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(compute, cells))
-    else:
-        rows = [compute(cell) for cell in cells]
-    return rows
+    return [compute(cell) for cell in cells]
