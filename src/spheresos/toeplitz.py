@@ -6,11 +6,14 @@ p_i = C_i / sqrt(C_i(1)) is the orthonormal family.  Entries vanish for
 |i - j| > deg(h) by orthogonality, and T[t] is the tridiagonal Jacobi matrix
 whose eigenvalues are the roots of C_{ell+1}.
 
-Entries that vanish by degree are stored as exact zeros.  For a multiplier
+Entries that vanish by degree or parity are stored as exact zeros: those
+outside the band |i - j| <= deg(h); those with i + j of the wrong parity
+when every nonzero coefficient of h has the same parity (the integrand
+p_i p_j h is then odd, e.g. the diagonal of T[t]); and, for a multiplier
 given in the Gegenbauer basis whose lowest nonzero coefficient is that of
-C_k, entry (i, j) is zero whenever i + j < k, since p_i p_j has degree i + j
-and is orthogonal to C_k.  In particular T[C_{2k}] is the zero matrix for
-ell < k, so a sign test on its quadratic forms reads the structure rather
+C_k, those with i + j < k, since p_i p_j has degree i + j and is orthogonal
+to C_k.  In particular T[C_{2k}] is the zero matrix for ell < k, so a sign
+test on its quadratic forms, or a banded solver, reads the structure rather
 than the rounding of the quadrature.
 """
 
@@ -47,8 +50,10 @@ def build(basis: GegenbauerBasis, ell: int, h, kind: str = "monomial") -> Toepli
 
     h is a coefficient array: of powers of t when kind == "monomial", or of
     C_k/C_k(1) when kind == "gegenbauer".  The quadrature is exact for the
-    integrand degree i + j + deg(h).  For kind == "gegenbauer" the entries
-    with i + j below the lowest nonzero harmonic index are set to exact 0.0.
+    integrand degree i + j + deg(h).  Entries outside the band, entries of
+    the wrong parity for a multiplier of one parity and, for kind ==
+    "gegenbauer", entries with i + j below the lowest nonzero harmonic index
+    are set to exact 0.0.
     """
     if kind not in ("monomial", "gegenbauer"):
         raise ValueError(f"unknown multiplier kind {kind!r}")
@@ -68,8 +73,14 @@ def build(basis: GegenbauerBasis, ell: int, h, kind: str = "monomial") -> Toepli
         hv = basis.gegenbauer_combination_values(h, nodes)
     P = basis.orthonormal_values(nodes, ell)
     M = (P * (weights * hv)) @ P.T
-    upper = np.triu(M)
-    M = upper + np.triu(M, 1).T
+    upper = np.tril(np.triu(M), deg_h)
+    nz = np.flatnonzero(h)
+    if nz.size and np.all(nz % 2 == nz[0] % 2):
+        # p_i p_j h is odd, so integrates to zero, when i + j has parity q.
+        q = 1 - nz[0] % 2
+        upper[0::2, q::2] = 0.0
+        upper[1::2, 1 - q::2] = 0.0
+    M = upper + np.triu(upper, 1).T
     if kind == "gegenbauer":
         lowest = int(np.flatnonzero(h)[0]) if np.any(h) else 0
         for i in range(min(lowest, ell + 1)):

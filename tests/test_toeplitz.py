@@ -156,6 +156,31 @@ def test_single_gegenbauer_structural_zero():
             assert tz.build_single_gegenbauer(basis, k, 2 * k).matrix[k, k] > 0, (d, k)
 
 
+def test_band_and_parity_structural_zero():
+    # Entries outside the band |i - j| <= deg(h), and, for h of one parity,
+    # entries whose i + j has the other parity, vanish by degree or oddness
+    # and are stored as exact zeros; the outermost band diagonal is not zero.
+    cases = [
+        ("gegenbauer", [0, 1]), ("gegenbauer", [0, 0, 1]), ("gegenbauer", [0, 0, 0, 1]),
+        ("gegenbauer", [0, 0, 0, 0, 1]), ("gegenbauer", [1, 0, 0.5]),
+        ("gegenbauer", [0, 1, 0.5]), ("monomial", [0, 1]), ("monomial", [0, 0, 1]),
+        ("monomial", [1, 0, 0, 1]),
+    ]
+    for d in (3, 5, 8):
+        basis = GegenbauerBasis(d, 84)
+        for ell in (10, 40, 80):
+            i, j = np.indices((ell + 1, ell + 1))
+            for kind, h in cases:
+                T = tz.build(basis, ell, h, kind=kind).matrix
+                deg = len(h) - 1
+                assert np.all(T[np.abs(i - j) > deg] == 0), (d, ell, kind, h)
+                assert np.all(np.diagonal(T, deg) != 0), (d, ell, kind, h)
+                parities = {k % 2 for k, c in enumerate(h) if c}
+                if len(parities) == 1:
+                    odd = (i + j + parities.pop()) % 2 == 1
+                    assert np.all(T[odd] == 0), (d, ell, kind, h)
+
+
 def test_order_preservation():
     # h1 >= h2 pointwise implies lambda_max(T[h1]) >= lambda_max(T[h2])
     rng = np.random.default_rng(1)
