@@ -82,7 +82,7 @@ def build(basis: GegenbauerBasis, ell: int, h, kind: str = "monomial") -> Toepli
         upper[1::2, 1 - q::2] = 0.0
     M = upper + np.triu(upper, 1).T
     if kind == "gegenbauer":
-        lowest = int(np.flatnonzero(h)[0]) if np.any(h) else 0
+        lowest = int(nz[0]) if nz.size else 0
         for i in range(min(lowest, ell + 1)):
             M[i, : lowest - i] = 0.0
     return ToeplitzOp(
