@@ -191,14 +191,14 @@ def build_certificate(
     legitimately fail)."""
     if F.degree % 2 != 0:
         raise ValueError("input degree must be even")
+    if ell < 1:
+        raise ValueError("ell must be >= 1")
     n = F.degree // 2
     d = F.d
 
     if n == 0:
         spec, normalization = _trivial_spec(d, ell), (0.0, 1.0)
     else:
-        if ell < 1:
-            raise ValueError("ell must be >= 1")
         if bounds is None:
             est = sup_norm_sphere(F, restarts=restarts, seed=seed)
             m, M = est.min_est, est.max_est
@@ -286,7 +286,7 @@ def verify_certificate(
     margin_ok = margin >= -tol_margin
 
     if spec.skipped_directions:
-        notes.append(f"{spec.skipped_directions} kernel sweep directions skipped")
+        notes.append(f"{spec.skipped_directions} kernel directions skipped")
 
     return VerificationReport(
         passed=kernel_ok and funk_hecke_ok and witness_ok and margin_ok,

@@ -1,6 +1,8 @@
 """Convergence-rate quantities for the kernel optimization.
 
-rho2 and rho4 are the exact quantities for quadratic and quartic inputs;
+rho2 and rho4 are the exact quantities for quadratic and quartic inputs:
+rho2 is rho_tilde's n = 1 case, and rho4 solves its optimality condition on
+the boundary of a joint numerical range by bisection over one angle.
 rho_tilde is the linearized proxy that is available for every half-degree n,
 and rho_from_tilde converts it back into a bound on the exact quantity.
 A KernelSpec packages the optimizing coefficient vector e of
@@ -96,16 +98,14 @@ def _cached_basis(d: int, max_degree: int) -> GegenbauerBasis:
 
 
 def rho2(d: int, ell: int) -> tuple[float, KernelSpec]:
-    """Exact rate quantity for quadratic inputs: 1/|T[C_2/C_2(1)]| - 1."""
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-    basis = _cached_basis(d, ell + 2)
-    T = toeplitz.build_single_gegenbauer(basis, ell, 2)
-    lam, vec = toeplitz.lambda_max(T)
-    if lam <= 0:
+    """Exact rate quantity for quadratic inputs: 1/lambda_max(T[C_2/C_2(1)]) - 1.
+
+    For n = 1 rho_tilde's multiplier is C_2/C_2(1) itself, so its kernel is
+    the exact optimizer and tilde = 1 - lambda_max."""
+    tilde, spec = rho_tilde(d, ell, 1)
+    if tilde >= 1.0:
         raise DegenerateKernelError("degenerate multiplier: lambda_max <= 0")
-    spec = kernel_spec_from_e(basis, d, ell, 1, vec)
-    return 1.0 / lam - 1.0, spec
+    return 1.0 / (1.0 - tilde) - 1.0, spec
 
 
 def rho_tilde(d: int, ell: int, n: int) -> tuple[float, KernelSpec]:
@@ -129,72 +129,55 @@ def rho_from_tilde(tilde: float) -> float:
     return tilde / (1.0 - tilde)
 
 
-def _rho4_objective(a: float, b: float) -> float:
-    return abs(1.0 / a - 1.0) + abs(1.0 / b - 1.0)
+def rho4(d: int, ell: int) -> tuple[float, KernelSpec]:
+    """Exact quartic rate quantity from its optimality condition.
 
-
-def rho4(d: int, ell: int, theta_grid: int = 48) -> tuple[float, KernelSpec]:
-    """Exact quartic rate quantity by a sweep of the joint numerical range.
-
-    The objective |1/a - 1| + |1/b - 1| is coordinate-wise decreasing on
-    (0, 1]^2 and the joint numerical range of (T[C_2/C_2(1)], T[C_4/C_4(1)])
-    is convex, so the minimum lies on the north-east boundary, traced by the
-    top eigenvectors of cos(theta) A + sin(theta) B for theta in [0, pi/2].
-    The best grid direction is refined by golden section to width 1e-8.
-    Directions whose (a, b) leave the positive quadrant are skipped.
+    With A = T[C_2/C_2(1)], B = T[C_4/C_4(1)] and (a, b) = (e^T A e, e^T B e),
+    the objective 1/a + 1/b - 2 decreases in both coordinates on (0, 1]^2
+    and the joint numerical range of (A, B) is convex, so the minimum lies on
+    the range's north-east boundary.  The top eigenvector u(theta) of
+    cos(theta) A + sin(theta) B traces that boundary for theta in [0, pi/2],
+    with a never rising and b never falling.  The minimum is where the
+    descent direction (1/a^2, 1/b^2) is parallel to the normal
+    (cos(theta), sin(theta)): the root of the increasing function
+    g(theta) = theta - atan2(a^2, b^2), found by bisection to width 1e-10.
+    A direction with b <= 0 (a <= 0) is counted as skipped and moves the
+    search toward B (A).
     """
-    if theta_grid < 8:
-        raise ValueError("theta_grid must be >= 8")
     if ell < 1:
         raise ValueError("ell must be >= 1")
     basis = _cached_basis(d, ell + 4)
     A = toeplitz.build_single_gegenbauer(basis, ell, 2).matrix
     B = toeplitz.build_single_gegenbauer(basis, ell, 4).matrix
-
     skipped = 0
 
-    def eval_theta(theta: float):
+    def g(theta: float) -> tuple[float, np.ndarray]:
         nonlocal skipped
-        M = math.cos(theta) * A + math.sin(theta) * B
-        w, V = np.linalg.eigh(M)
-        u = V[:, -1]
-        a = float(u @ A @ u)
-        b = float(u @ B @ u)
-        if a <= 0 or b <= 0:
+        u = np.linalg.eigh(math.cos(theta) * A + math.sin(theta) * B)[1][:, -1]
+        a, b = float(u @ A @ u), float(u @ B @ u)
+        if b <= 0 or a <= 0:
             skipped += 1
-            return math.inf, u
-        return _rho4_objective(a, b), u
+            return (-math.pi if b <= 0 else math.pi), u
+        return theta - math.atan2(a * a, b * b), u
 
-    thetas = np.linspace(0.0, math.pi / 2, theta_grid)
-    results = [eval_theta(t) for t in thetas]
-    best_idx = int(np.argmin([r[0] for r in results]))
-    best_val, best_u = results[best_idx]
+    lo, hi = 0.0, math.pi / 2
+    g_lo, u = g(lo)
+    if g_lo < 0:
+        g_hi, u = g(hi)
+        if g_hi > 0:
+            while hi - lo > 1e-10:
+                mid = 0.5 * (lo + hi)
+                if g(mid)[0] < 0:
+                    lo = mid
+                else:
+                    hi = mid
+            _, u = g(0.5 * (lo + hi))
 
-    lo = thetas[max(best_idx - 1, 0)]
-    hi = thetas[min(best_idx + 1, theta_grid - 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, u1 = eval_theta(x1)
-    f2, u2 = eval_theta(x2)
-    while hi - lo > 1e-8:
-        if f1 <= f2:
-            hi, x2, f2, u2 = x2, x1, f1, u1
-            x1 = hi - invphi * (hi - lo)
-            f1, u1 = eval_theta(x1)
-        else:
-            lo, x1, f1, u1 = x1, x2, f2, u2
-            x2 = lo + invphi * (hi - lo)
-            f2, u2 = eval_theta(x2)
-    for f, u in ((f1, u1), (f2, u2)):
-        if f < best_val:
-            best_val, best_u = f, u
-
-    if not math.isfinite(best_val):
-        raise DegenerateKernelError("no direction with positive (lambda_2, lambda_4)")
-    spec = kernel_spec_from_e(basis, d, ell, 2, best_u)
+    spec = kernel_spec_from_e(basis, d, ell, 2, u)
     spec.skipped_directions = skipped
-    return best_val, spec
+    if not math.isfinite(spec.rho_value):
+        raise DegenerateKernelError("no direction with positive (lambda_2, lambda_4)")
+    return spec.rho_value, spec
 
 
 def rate_table(d_list, ell_list, n_list, jobs: int | None = None) -> list[dict]:

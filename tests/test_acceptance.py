@@ -145,7 +145,7 @@ def test_criterion_4_quadratic_rate_upper_bound():
                 if n == 1:
                     value, _ = rho2(d, ell)
                 elif n == 2:
-                    value, _ = rho4(d, ell, theta_grid=24)
+                    value, _ = rho4(d, ell)
                 else:
                     tilde, _ = rho_tilde(d, ell, n)
                     value = rho_from_tilde(tilde)

@@ -110,6 +110,15 @@ def test_certificate_constant_edge_case():
     assert cert.verification.passed
 
 
+def test_certificate_rejects_bad_ell():
+    # ell is checked before the degree-0 shortcut, so a constant input gets
+    # the same message as a quartic
+    for F in (Poly.constant(3, 0.5), Poly.constant(3, 1.0).mul_norm_power(2)):
+        for ell in (0, -2):
+            with pytest.raises(ValueError, match="ell must be >= 1"):
+                build_certificate(F, ell=ell)
+
+
 def test_certificate_constant_with_user_delta():
     # Build and verify normalize a constant the same way, so a user slack
     # ends up in the witness: H = F + delta, reproduced exactly.

@@ -1,4 +1,4 @@
-"""Convergence-rate quantities: exact small cases, proxies, sweeps, tables.
+"""Convergence-rate quantities: exact small cases, proxies, optimality, tables.
 
 The rho_tilde scaling-law grid check lives in tests/test_acceptance.py
 (criterion 3): it asserts a bound derived from the largest root of
@@ -62,31 +62,55 @@ def test_rho_from_tilde():
 def test_rho4_dominates_rho2():
     for d, ell in ((3, 8), (4, 12)):
         v2, _ = rho2(d, ell)
-        v4, _ = rho4(d, ell, theta_grid=24)
+        v4, _ = rho4(d, ell)
         assert v4 >= v2 - 1e-12
 
 
 def test_rho4_vs_tilde_surrogate():
     for d, ell in ((3, 12), (5, 20)):
-        v4, _ = rho4(d, ell, theta_grid=24)
+        v4, _ = rho4(d, ell)
         t4, _ = rho_tilde(d, ell, 2)
         assert t4 < 1.0
         assert v4 <= rho_from_tilde(t4) + 1e-10
 
 
 def test_rho4_sweep_dominance():
-    # the sweep result is at least as good as the objective at the
-    # rho_tilde-optimal e, which is one feasible point of the range
+    # rho4 is at least as good as the objective at the rho_tilde-optimal
+    # e, which is one feasible point of the range
     for d, ell in ((3, 10), (4, 14)):
-        v4, _ = rho4(d, ell, theta_grid=24)
+        v4, _ = rho4(d, ell)
         _, tilde_spec = rho_tilde(d, ell, 2)
         obj_at_tilde = float(np.sum(np.abs(1.0 / tilde_spec.lambdas - 1.0)))
         assert v4 <= obj_at_tilde + 1e-10
 
 
-def test_rho4_grid_validation():
-    with pytest.raises(ValueError):
-        rho4(3, 8, theta_grid=4)
+def test_rho4_boundary_optimum():
+    # rho4 bisects the optimality condition of min 1/a + 1/b - 2 along the
+    # boundary curve u(theta); a dense theta grid over the same curve must
+    # not beat it, and its kernel must be the top eigenvector at the angle
+    # theta* = atan2(lambda_2^2, lambda_4^2) that the condition names
+    thetas = np.linspace(0.0, np.pi / 2, 2001)
+    for d, ell in ((2, 2), (2, 5), (3, 12), (5, 30), (8, 80)):
+        value, spec = rho4(d, ell)
+        basis = GegenbauerBasis(d, ell + 4)
+        A = tz.build_single_gegenbauer(basis, ell, 2).matrix
+        B = tz.build_single_gegenbauer(basis, ell, 4).matrix
+        grid_min = np.inf
+        for theta in thetas:
+            u = np.linalg.eigh(np.cos(theta) * A + np.sin(theta) * B)[1][:, -1]
+            a, b = u @ A @ u, u @ B @ u
+            if a > 0 and b > 0:
+                grid_min = min(grid_min, 1.0 / a + 1.0 / b - 2.0)
+        assert value <= grid_min * (1.0 + 1e-12), (d, ell)
+
+        lam2, lam4 = spec.lambdas
+        theta_star = np.arctan2(lam2**2, lam4**2)
+        M = np.cos(theta_star) * A + np.sin(theta_star) * B
+        mu = spec.e @ M @ spec.e
+        assert np.linalg.norm(M @ spec.e - mu * spec.e) <= 1e-9, (d, ell)
+        assert mu >= np.linalg.eigvalsh(M)[-1] - 1e-9, (d, ell)
+        if d == 2:
+            assert spec.skipped_directions >= 1, ell
 
 
 def _pattern_search_oracle(A: np.ndarray, e0: np.ndarray, iters: int = 2000):
@@ -193,5 +217,5 @@ def test_exposed_rate_constants_hold_on_sample_grid():
         for n in (1, 2):
             for mult in (RATE_LEVEL_MULTIPLIER * n, 8, 16):
                 ell = mult * d
-                value = rho2(d, ell)[0] if n == 1 else rho4(d, ell, theta_grid=24)[0]
+                value = rho2(d, ell)[0] if n == 1 else rho4(d, ell)[0]
                 assert value * (ell / d) ** 2 <= RATE_CONSTANTS[n], (d, n, ell)
