@@ -2,12 +2,16 @@
 
 rho2 and rho4 are the exact quantities for quadratic and quartic inputs:
 rho2 is rho_tilde's n = 1 case, and rho4 solves its optimality condition on
-the boundary of a joint numerical range by bisection over one angle.
+the boundary of a joint numerical range by an Illinois (modified regula
+falsi) root search over one angle, with one banded top-eigenpair solve per
+probe.
 rho_tilde is the linearized proxy that is available for every half-degree n,
 and rho_from_tilde converts it back into a bound on the exact quantity.
 A KernelSpec packages the optimizing coefficient vector e of
 q(t) = sum_i e_i C_i(t)/sqrt(C_i(1)) together with the induced eigenvalues
 lambda_{2k} of the squared kernel and the slack delta it certifies.
+Each Toeplitz matrix is built once per (d, ell, multiplier) and shared
+read-only by the solvers and kernel_lambdas.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import eig_banded
 
 from .gegenbauer import GegenbauerBasis
 from .harmonic import b_constant
@@ -36,6 +41,10 @@ class DegenerateKernelError(ValueError):
 RATE_CONSTANTS = {1: 1.0, 2: 4.5}
 RATE_LEVEL_MULTIPLIER = 2
 
+# rho4 stops its root search once |g(theta)| is this small: rounding level
+# for an angle in [0, pi/2].
+_G_TOL = 4 * np.finfo(float).eps
+
 
 @dataclass
 class KernelSpec:
@@ -43,6 +52,8 @@ class KernelSpec:
 
     e has unit norm so that lambda_0 = 1; lambdas holds lambda_{2k} for
     k = 1..n; rho_value = sum |1/lambda_{2k} - 1| and delta = (B_{2n}/2) rho.
+    tilde is the proxy value when rho_tilde produced the spec (None
+    otherwise), so that rho2's callers get both from one solve.
     """
 
     d: int
@@ -53,6 +64,7 @@ class KernelSpec:
     rho_value: float = 0.0
     delta: float = 0.0
     skipped_directions: int = 0
+    tilde: float | None = None
 
 
 def _canonical_sign(e: np.ndarray) -> np.ndarray:
@@ -60,19 +72,17 @@ def _canonical_sign(e: np.ndarray) -> np.ndarray:
     return -e if e[pivot] < 0 else e
 
 
-def kernel_lambdas(basis: GegenbauerBasis, ell: int, n: int, e: np.ndarray) -> np.ndarray:
+def kernel_lambdas(d: int, ell: int, n: int, e: np.ndarray) -> np.ndarray:
     """lambda_{2k} = e^T T[C_{2k}/C_{2k}(1)] e for k = 1..n, with e taken as
     given (a unit e makes lambda_0 = 1)."""
     lambdas = np.empty(n)
     for k in range(1, n + 1):
-        T = toeplitz.build_single_gegenbauer(basis, ell, 2 * k)
-        lambdas[k - 1] = float(e @ T.matrix @ e)
+        T = _gegenbauer_toeplitz(d, ell, _harmonic(2 * k)).matrix
+        lambdas[k - 1] = float(e @ T @ e)
     return lambdas
 
 
-def kernel_spec_from_e(
-    basis: GegenbauerBasis, d: int, ell: int, n: int, e: np.ndarray
-) -> KernelSpec:
+def kernel_spec_from_e(d: int, ell: int, n: int, e: np.ndarray) -> KernelSpec:
     """Build a KernelSpec from a coefficient vector, normalized to unit
     length, with each lambda_{2k} recomputed by kernel_lambdas.
 
@@ -81,7 +91,7 @@ def kernel_spec_from_e(
     against such specs."""
     e = np.asarray(e, dtype=float)
     e = _canonical_sign(e / np.linalg.norm(e))
-    lambdas = kernel_lambdas(basis, ell, n, e)
+    lambdas = kernel_lambdas(d, ell, n, e)
     if np.any(lambdas <= 0):
         rho_value = math.inf
     else:
@@ -92,9 +102,33 @@ def kernel_spec_from_e(
     )
 
 
-@lru_cache(maxsize=256)
 def _cached_basis(d: int, max_degree: int) -> GegenbauerBasis:
+    # Rounded up to a power of two so that a sweep over ell reuses a few
+    # bases; per-index data do not depend on max_degree.
+    return _basis(d, 1 << max(max_degree - 1, 0).bit_length())
+
+
+@lru_cache(maxsize=256)
+def _basis(d: int, max_degree: int) -> GegenbauerBasis:
     return GegenbauerBasis(d, max_degree)
+
+
+def _harmonic(k: int) -> tuple:
+    """Gegenbauer coefficients of the multiplier C_k/C_k(1)."""
+    return (0.0,) * k + (1.0,)
+
+
+@lru_cache(maxsize=4)
+def _gegenbauer_toeplitz(d: int, ell: int, h: tuple) -> toeplitz.ToeplitzOp:
+    """T[sum_k h_k C_k/C_k(1)] on the degree-ell window, built once and shared.
+
+    The matrix depends on the basis only through d, so any max_degree gives
+    the same bits; it is read-only because every caller shares it.  Four
+    entries hold one rate cell: rho_tilde's multiplier (C_2 itself for
+    n = 1) and T[C_{2k}] for k = 1..n, n <= 3."""
+    op = toeplitz.build(_cached_basis(d, ell + len(h) - 1), ell, h, kind="gegenbauer")
+    op.matrix.flags.writeable = False
+    return op
 
 
 def rho2(d: int, ell: int) -> tuple[float, KernelSpec]:
@@ -113,13 +147,12 @@ def rho_tilde(d: int, ell: int, n: int) -> tuple[float, KernelSpec]:
     C_{2k}/C_{2k}(1), k = 1..n; always in [0, n]."""
     if n < 1 or ell < 1:
         raise ValueError("need n >= 1 and ell >= 1")
-    basis = _cached_basis(d, ell + 2 * n)
     coeffs = np.zeros(2 * n + 1)
     coeffs[2 : 2 * n + 1 : 2] = 1.0 / n
-    T = toeplitz.build(basis, ell, coeffs, kind="gegenbauer")
-    lam, vec = toeplitz.lambda_max(T)
-    spec = kernel_spec_from_e(basis, d, ell, n, vec)
-    return n - n * lam, spec
+    lam, vec = toeplitz.lambda_max(_gegenbauer_toeplitz(d, ell, tuple(coeffs.tolist())))
+    spec = kernel_spec_from_e(d, ell, n, vec)
+    spec.tilde = n - n * lam
+    return spec.tilde, spec
 
 
 def rho_from_tilde(tilde: float) -> float:
@@ -127,6 +160,23 @@ def rho_from_tilde(tilde: float) -> float:
     if not 0.0 <= tilde < 1.0:
         raise ValueError(f"bound vacuous: rho_tilde = {tilde} not in [0, 1)")
     return tilde / (1.0 - tilde)
+
+
+def _upper_band(M: np.ndarray, w: int) -> np.ndarray:
+    """LAPACK upper band storage of a symmetric M of bandwidth w: row w - k
+    holds the k-th superdiagonal."""
+    band = np.zeros((w + 1, len(M)))
+    for k in range(w + 1):
+        band[w - k, k:] = np.diagonal(M, k)
+    return band
+
+
+def _top_eigenpair(band: np.ndarray) -> tuple[float, np.ndarray]:
+    """Largest eigenvalue and a unit eigenvector of a matrix in upper band
+    storage; only that pair is computed."""
+    top = band.shape[1] - 1
+    w, v = eig_banded(band, select="i", select_range=(top, top), check_finite=False)
+    return float(w[0]), v[:, 0]
 
 
 def rho4(d: int, ell: int) -> tuple[float, KernelSpec]:
@@ -140,40 +190,57 @@ def rho4(d: int, ell: int) -> tuple[float, KernelSpec]:
     with a never rising and b never falling.  The minimum is where the
     descent direction (1/a^2, 1/b^2) is parallel to the normal
     (cos(theta), sin(theta)): the root of the increasing function
-    g(theta) = theta - atan2(a^2, b^2), found by bisection to width 1e-10.
+    g(theta) = theta - atan2(a^2, b^2).  An Illinois (modified regula falsi)
+    search brackets it until |g| reaches rounding level or the bracket is
+    1e-10 wide; each probe solves only the top eigenpair of the band-4
+    matrix, and the kernel is the probe with the smallest |g|.
     A direction with b <= 0 (a <= 0) is counted as skipped and moves the
     search toward B (A).
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    basis = _cached_basis(d, ell + 4)
-    A = toeplitz.build_single_gegenbauer(basis, ell, 2).matrix
-    B = toeplitz.build_single_gegenbauer(basis, ell, 4).matrix
+    A = _gegenbauer_toeplitz(d, ell, _harmonic(2)).matrix
+    B = _gegenbauer_toeplitz(d, ell, _harmonic(4)).matrix
+    A_band, B_band = _upper_band(A, 4), _upper_band(B, 4)
     skipped = 0
+    best = (math.inf, None)
 
-    def g(theta: float) -> tuple[float, np.ndarray]:
-        nonlocal skipped
-        u = np.linalg.eigh(math.cos(theta) * A + math.sin(theta) * B)[1][:, -1]
+    def g(theta: float) -> float:
+        nonlocal skipped, best
+        _, u = _top_eigenpair(math.cos(theta) * A_band + math.sin(theta) * B_band)
         a, b = float(u @ A @ u), float(u @ B @ u)
         if b <= 0 or a <= 0:
             skipped += 1
-            return (-math.pi if b <= 0 else math.pi), u
-        return theta - math.atan2(a * a, b * b), u
+            value = -math.pi if b <= 0 else math.pi
+        else:
+            value = theta - math.atan2(a * a, b * b)
+        if abs(value) <= best[0]:
+            best = (abs(value), u)
+        return value
 
     lo, hi = 0.0, math.pi / 2
-    g_lo, u = g(lo)
+    g_lo = g(lo)
     if g_lo < 0:
-        g_hi, u = g(hi)
-        if g_hi > 0:
-            while hi - lo > 1e-10:
-                mid = 0.5 * (lo + hi)
-                if g(mid)[0] < 0:
-                    lo = mid
-                else:
-                    hi = mid
-            _, u = g(0.5 * (lo + hi))
+        g_hi = g(hi)
+        side = 0
+        while g_hi > 0 and hi - lo > 1e-10 and best[0] > _G_TOL:
+            theta = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
+            if not lo < theta < hi:
+                theta = 0.5 * (lo + hi)
+            g_mid = g(theta)
+            # Illinois: halve the value kept at an end that stays put twice.
+            if g_mid < 0:
+                lo, g_lo = theta, g_mid
+                if side < 0:
+                    g_hi *= 0.5
+                side = -1
+            else:
+                hi, g_hi = theta, g_mid
+                if side > 0:
+                    g_lo *= 0.5
+                side = 1
 
-    spec = kernel_spec_from_e(basis, d, ell, 2, u)
+    spec = kernel_spec_from_e(d, ell, 2, best[1])
     spec.skipped_directions = skipped
     if not math.isfinite(spec.rho_value):
         raise DegenerateKernelError("no direction with positive (lambda_2, lambda_4)")
@@ -194,13 +261,16 @@ def rate_table(d_list, ell_list, n_list, jobs: int | None = None) -> list[dict]:
     def compute(cell):
         d, ell, n = cell
         row = {"d": d, "ell": ell, "n": n, "rho2": None, "rho4": None}
-        tilde, _ = rho_tilde(d, ell, n)
-        row["rho_tilde"] = tilde
         direct = None
         if n == 1:
-            direct, _ = rho2(d, ell)
+            # rho2 is rho_tilde's n = 1 case: one solve fills both columns
+            direct, spec = rho2(d, ell)
+            tilde = spec.tilde
             row["rho2"] = direct
-        elif n == 2:
+        else:
+            tilde, _ = rho_tilde(d, ell, n)
+        row["rho_tilde"] = tilde
+        if n == 2:
             try:
                 direct, _ = rho4(d, ell)
             except DegenerateKernelError:

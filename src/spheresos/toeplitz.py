@@ -109,7 +109,7 @@ def lambda_max(op: ToeplitzOp) -> tuple[float, np.ndarray]:
     pivot = int(np.argmax(np.abs(vec)))
     if vec[pivot] < 0:
         vec = -vec
-    norm_t = float(np.linalg.norm(op.matrix, 2))
+    norm_t = max(abs(float(w[0])), abs(lam))  # the 2-norm of a symmetric matrix
     resid = float(np.linalg.norm(op.matrix @ vec - lam * vec))
     if resid > 1e-10 * max(norm_t, 1.0):  # pragma: no cover
         raise RuntimeError(f"eigensolver residual {resid:.3e} too large")

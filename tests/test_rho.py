@@ -5,9 +5,12 @@ The rho_tilde scaling-law grid check lives in tests/test_acceptance.py
 C_{l+1}, and that the claimed constant (7n^2/12)(d/l)^2 fails at d = 3.
 """
 
+import math
+
 import numpy as np
 import pytest
 
+from spheresos import rho as rho_mod
 from spheresos import toeplitz as tz
 from spheresos.gegenbauer import GegenbauerBasis
 from spheresos.rho import rate_table, rho2, rho4, rho_from_tilde, rho_tilde
@@ -85,8 +88,9 @@ def test_rho4_sweep_dominance():
 
 
 def test_rho4_boundary_optimum():
-    # rho4 bisects the optimality condition of min 1/a + 1/b - 2 along the
-    # boundary curve u(theta); a dense theta grid over the same curve must
+    # rho4 finds the root of the optimality condition of min 1/a + 1/b - 2
+    # along the boundary curve u(theta) by an Illinois search over banded
+    # top-eigenpair solves; a dense theta grid over the same curve must
     # not beat it, and its kernel must be the top eigenvector at the angle
     # theta* = atan2(lambda_2^2, lambda_4^2) that the condition names
     thetas = np.linspace(0.0, np.pi / 2, 2001)
@@ -111,6 +115,93 @@ def test_rho4_boundary_optimum():
         assert mu >= np.linalg.eigvalsh(M)[-1] - 1e-9, (d, ell)
         if d == 2:
             assert spec.skipped_directions >= 1, ell
+
+
+def _rho4_dense_bisection(d, ell):
+    # the former rho4: dense eigh at every probe, plain bisection of
+    # g(theta) = theta - atan2(a^2, b^2) to width 1e-10
+    basis = GegenbauerBasis(d, ell + 4)
+    A = tz.build_single_gegenbauer(basis, ell, 2).matrix
+    B = tz.build_single_gegenbauer(basis, ell, 4).matrix
+
+    def g(theta):
+        u = np.linalg.eigh(math.cos(theta) * A + math.sin(theta) * B)[1][:, -1]
+        a, b = float(u @ A @ u), float(u @ B @ u)
+        if b <= 0 or a <= 0:
+            return (-math.pi if b <= 0 else math.pi), u
+        return theta - math.atan2(a * a, b * b), u
+
+    lo, hi = 0.0, math.pi / 2
+    g_lo, u = g(lo)
+    if g_lo < 0:
+        g_hi, u = g(hi)
+        if g_hi > 0:
+            while hi - lo > 1e-10:
+                mid = 0.5 * (lo + hi)
+                if g(mid)[0] < 0:
+                    lo = mid
+                else:
+                    hi = mid
+            _, u = g(0.5 * (lo + hi))
+    u = u / np.linalg.norm(u)
+    return 1.0 / float(u @ A @ u) + 1.0 / float(u @ B @ u) - 2.0
+
+
+def test_rho4_matches_dense_bisection(monkeypatch):
+    calls = []
+    solver = rho_mod.eig_banded
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solver(*args, **kwargs)
+
+    monkeypatch.setattr(rho_mod, "eig_banded", counting)
+    for d in range(2, 9):
+        for ell in (2, 3, 5, 12, 30, 80):
+            calls.clear()
+            value, _ = rho4(d, ell)
+            assert len(calls) <= 16, (d, ell, len(calls))
+            oracle = _rho4_dense_bisection(d, ell)
+            assert value == pytest.approx(oracle, rel=1e-12), (d, ell)
+
+
+def test_banded_top_eigenpair_matches_dense():
+    for d, ell in ((2, 3), (3, 12), (5, 30), (8, 80)):
+        basis = GegenbauerBasis(d, ell + 4)
+        A = tz.build_single_gegenbauer(basis, ell, 2).matrix
+        B = tz.build_single_gegenbauer(basis, ell, 4).matrix
+        for M in (A, B, *(math.cos(t) * A + math.sin(t) * B for t in (0.3, 0.9, 1.4))):
+            lam, u = rho_mod._top_eigenpair(rho_mod._upper_band(M, 4))
+            w, V = np.linalg.eigh(M)
+            assert lam == pytest.approx(w[-1], abs=1e-13), (d, ell)
+            assert abs(float(u @ V[:, -1])) >= 1.0 - 1e-12, (d, ell)
+
+
+def test_cached_toeplitz_is_fresh_build_and_read_only():
+    for d, ell, k in ((2, 3, 4), (3, 12, 2), (5, 30, 6), (8, 80, 4)):
+        op = rho_mod._gegenbauer_toeplitz(d, ell, rho_mod._harmonic(k))
+        fresh = tz.build_single_gegenbauer(GegenbauerBasis(d, ell + k), ell, k)
+        assert np.array_equal(op.matrix, fresh.matrix), (d, ell, k)
+        with pytest.raises(ValueError):
+            op.matrix[0, 0] = 1.0
+    # bases are shared between max_degrees of one power-of-two block
+    assert rho_mod._cached_basis(3, 5) is rho_mod._cached_basis(3, 8)
+
+
+def test_rate_table_solves_each_n1_cell_once(monkeypatch):
+    calls = []
+    solve = rho_mod.rho_tilde
+
+    def counting(d, ell, n):
+        calls.append((d, ell, n))
+        return solve(d, ell, n)
+
+    monkeypatch.setattr(rho_mod, "rho_tilde", counting)
+    rows = rate_table([3, 4], [4, 6], [1])
+    assert sorted(calls) == [(3, 4, 1), (3, 6, 1), (4, 4, 1), (4, 6, 1)]
+    for r in rows:
+        assert r["rho_tilde"] == solve(r["d"], r["ell"], 1)[0]
+        assert r["rho2"] == rho2(r["d"], r["ell"])[0]
 
 
 def _pattern_search_oracle(A: np.ndarray, e0: np.ndarray, iters: int = 2000):
@@ -173,7 +264,7 @@ def test_unreachable_harmonic_gives_infinite_rho():
     from spheresos.rho import kernel_spec_from_e
 
     basis = GegenbauerBasis(3, 4)
-    spec = kernel_spec_from_e(basis, 3, 1, 1, np.array([1.0, 0.0]))
+    spec = kernel_spec_from_e(3, 1, 1, np.array([1.0, 0.0]))
     assert spec.lambdas[0] == pytest.approx(0.0, abs=1e-14)
     assert spec.rho_value == np.inf
     # ell = 1 cannot reach the 4th harmonic either: rho_tilde still returns
