@@ -14,21 +14,20 @@ normalization of the original input is recorded so callers can undo it.
 Construction and verification share one computation of the targets (the
 harmonic parts of G + delta), and scalar and matrix inputs take the same
 path: only the identity embedding |x|^{2n} (times I) depends on the type.
+The kernel comes from rho.kernel_for and every (rho, delta) pair from
+rho.slack, so construction, reloading and the margin check agree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .gegenbauer import GegenbauerBasis
-from .harmonic import HarmonicDecomp, b_constant, decompose
+from .harmonic import HarmonicDecomp, decompose
 from .poly import MatPoly, Poly, sup_norm_sphere
-from .rho import (
-    DegenerateKernelError, KernelSpec, kernel_lambdas, rho2, rho4, rho_tilde,
-)
+from .rho import DegenerateKernelError, KernelSpec, kernel_for, kernel_lambdas, slack
 
 
 class KernelInversionError(ValueError):
@@ -120,34 +119,13 @@ class Certificate:
                 d=int(s["d"]), ell=int(s["ell"]), n=int(s["n"]),
                 e=np.asarray(s["e"], dtype=float),
                 lambdas=np.asarray(s["lambdas"], dtype=float),
-                rho_value=float(s.get("rho_value", 0.0)),
             )
-            spec.delta = 0.5 * b_constant(spec.n) * spec.rho_value if spec.n >= 1 else 0.0
+            spec.rho_value, spec.delta = slack(spec.n, spec.lambdas)
             norm = (float(data["normalization"]["m"]), float(data["normalization"]["M"]))
             H = HarmonicDecomp.from_dict(data["H"])
             return cls(spec=spec, delta=float(data["delta"]), normalization=norm, H=H)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed certificate JSON: {exc}") from exc
-
-
-@lru_cache(maxsize=512)
-def _kernel_for(d: int, ell: int, n: int) -> KernelSpec:
-    # Exact kernels for n in {1, 2}; the rho_tilde optimizer otherwise
-    # (its e is feasible and certified through rho_from_tilde).  Cached:
-    # the kernel depends only on (d, ell, n), not on the instance.
-    if n == 1:
-        _, spec = rho2(d, ell)
-    elif n == 2:
-        _, spec = rho4(d, ell)
-    else:
-        _, spec = rho_tilde(d, ell, n)
-    return spec
-
-
-def _trivial_spec(d: int, ell: int) -> KernelSpec:
-    e = np.zeros(ell + 1)
-    e[0] = 1.0
-    return KernelSpec(d=d, ell=ell, n=0, e=e, lambdas=np.zeros(0), rho_value=0.0, delta=0.0)
 
 
 def _identity_like(F, degree: int, value: float):
@@ -183,12 +161,12 @@ def build_certificate(
     F must be homogeneous of even degree 2n.  When bounds is omitted the
     range [m, M] on the sphere is estimated by multistart optimization (not
     certified); delta defaults to the theorem value (B_{2n}/2) rho_{2n}(d, L).
-    A constant (n = 0) needs no kernel and is certified as F + delta with
-    normalization (0, 1); an input constant on the sphere is normalized by
-    (m, m + 1).  The returned certificate targets the normalized G in
-    [0, 1]; on witness positivity failure it is returned with
-    verification.passed False rather than raising (user-supplied slacks may
-    legitimately fail)."""
+    A constant (n = 0) takes the constant kernel q = 1 and is certified as
+    F + delta with normalization (0, 1); an input constant on the sphere is
+    normalized by (m, m + 1).  The returned certificate targets the
+    normalized G in [0, 1]; on witness positivity failure it is returned
+    with verification.passed False rather than raising (user-supplied
+    slacks may legitimately fail)."""
     if F.degree % 2 != 0:
         raise ValueError("input degree must be even")
     if ell < 1:
@@ -197,7 +175,7 @@ def build_certificate(
     d = F.d
 
     if n == 0:
-        spec, normalization = _trivial_spec(d, ell), (0.0, 1.0)
+        normalization = (0.0, 1.0)
     else:
         if bounds is None:
             est = sup_norm_sphere(F, restarts=restarts, seed=seed)
@@ -209,16 +187,14 @@ def build_certificate(
             # only the slack remains.
             M = m + 1.0
         normalization = (m, M)
-        try:
-            spec = _kernel_for(d, ell, n)
-        except DegenerateKernelError as exc:
-            raise KernelInversionError(
-                f"kernel non-invertible on needed harmonics: {exc}"
-            ) from exc
+    try:
+        spec = kernel_for(d, ell, n)
         if np.any(spec.lambdas <= 0):
-            raise KernelInversionError(
-                f"kernel non-invertible on needed harmonics: lambdas={spec.lambdas.tolist()}"
-            )
+            raise DegenerateKernelError(f"lambdas={spec.lambdas.tolist()}")
+    except DegenerateKernelError as exc:
+        raise KernelInversionError(
+            f"kernel non-invertible on needed harmonics: {exc}"
+        ) from exc
     if delta is None:
         delta = spec.delta
 
@@ -279,10 +255,7 @@ def verify_certificate(
     if not est.converged:
         notes.append("witness positivity search hit iteration cap")
 
-    bound = 0.0
-    if n >= 1:
-        bound = 0.5 * b_constant(n) * float(np.sum(np.abs(1.0 / spec.lambdas - 1.0)))
-    margin = cert.delta - bound
+    margin = cert.delta - slack(n, spec.lambdas)[1]
     margin_ok = margin >= -tol_margin
 
     if spec.skipped_directions:

@@ -124,11 +124,15 @@ def _cmd_rho_table(args) -> int:
     else:
         specs = []
         for r in rows:
-            _, spec = rho_mod.rho_tilde(r["d"], r["ell"], r["n"])
+            try:
+                spec = rho_mod.kernel_for(r["d"], r["ell"], r["n"])
+                kernel = {"e": list(map(float, spec.e)),
+                          "lambdas": list(map(float, spec.lambdas))}
+            except rho_mod.DegenerateKernelError:
+                kernel = None  # rho4 is inf: no kernel reaches the 4th harmonic
             specs.append({
                 **{k: r[k] for k in ("d", "ell", "n", "rho2", "rho4", "rho_tilde", "rho_bound")},
-                "kernel": {"e": list(map(float, spec.e)),
-                           "lambdas": list(map(float, spec.lambdas))},
+                "kernel": kernel,
             })
         _write_artifact(args.out, _json_text({"seed": args.seed, "rows": specs}), config)
     return 0

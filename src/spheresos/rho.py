@@ -3,13 +3,15 @@
 rho2 and rho4 are the exact quantities for quadratic and quartic inputs:
 rho2 is rho_tilde's n = 1 case, and rho4 solves its optimality condition on
 the boundary of a joint numerical range by an Illinois (modified regula
-falsi) root search over one angle, with one banded top-eigenpair solve per
-probe.
+falsi) root search over one angle, with one top-eigenpair solve per probe
+by toeplitz's banded solver.
 rho_tilde is the linearized proxy that is available for every half-degree n,
 and rho_from_tilde converts it back into a bound on the exact quantity.
 A KernelSpec packages the optimizing coefficient vector e of
 q(t) = sum_i e_i C_i(t)/sqrt(C_i(1)) together with the induced eigenvalues
 lambda_{2k} of the squared kernel and the slack delta it certifies.
+kernel_for picks the solver for each n (the one kernel a certificate uses),
+and slack is the one formula from eigenvalues to (rho, delta).
 Each Toeplitz matrix is built once per (d, ell, multiplier) and shared
 read-only by the solvers and kernel_lambdas.
 """
@@ -21,7 +23,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eig_banded
 
 from .gegenbauer import GegenbauerBasis
 from .harmonic import b_constant
@@ -67,11 +68,6 @@ class KernelSpec:
     tilde: float | None = None
 
 
-def _canonical_sign(e: np.ndarray) -> np.ndarray:
-    pivot = int(np.argmax(np.abs(e)))
-    return -e if e[pivot] < 0 else e
-
-
 def kernel_lambdas(d: int, ell: int, n: int, e: np.ndarray) -> np.ndarray:
     """lambda_{2k} = e^T T[C_{2k}/C_{2k}(1)] e for k = 1..n, with e taken as
     given (a unit e makes lambda_0 = 1)."""
@@ -82,6 +78,18 @@ def kernel_lambdas(d: int, ell: int, n: int, e: np.ndarray) -> np.ndarray:
     return lambdas
 
 
+def slack(n: int, lambdas: np.ndarray) -> tuple[float, float]:
+    """(rho, delta) of a kernel with eigenvalues lambda_{2k}, k = 1..n:
+    rho = sum |1/lambda_{2k} - 1|, inf when some lambda_{2k} <= 0, and
+    delta = (B_{2n}/2) rho; a constant (n = 0) needs neither."""
+    if n == 0:
+        return 0.0, 0.0
+    if np.any(lambdas <= 0):
+        return math.inf, math.inf
+    rho_value = float(np.sum(np.abs(1.0 / lambdas - 1.0)))
+    return rho_value, 0.5 * b_constant(n) * rho_value
+
+
 def kernel_spec_from_e(d: int, ell: int, n: int, e: np.ndarray) -> KernelSpec:
     """Build a KernelSpec from a coefficient vector, normalized to unit
     length, with each lambda_{2k} recomputed by kernel_lambdas.
@@ -90,15 +98,11 @@ def kernel_spec_from_e(d: int, ell: int, n: int, e: np.ndarray) -> KernelSpec:
     e.g. ell < n) yields rho_value = inf; certificate construction guards
     against such specs."""
     e = np.asarray(e, dtype=float)
-    e = _canonical_sign(e / np.linalg.norm(e))
+    e = toeplitz.canonical_sign(e / np.linalg.norm(e))
     lambdas = kernel_lambdas(d, ell, n, e)
-    if np.any(lambdas <= 0):
-        rho_value = math.inf
-    else:
-        rho_value = float(np.sum(np.abs(1.0 / lambdas - 1.0)))
+    rho_value, delta = slack(n, lambdas)
     return KernelSpec(
-        d=d, ell=ell, n=n, e=e, lambdas=lambdas,
-        rho_value=rho_value, delta=0.5 * b_constant(n) * rho_value,
+        d=d, ell=ell, n=n, e=e, lambdas=lambdas, rho_value=rho_value, delta=delta,
     )
 
 
@@ -162,23 +166,6 @@ def rho_from_tilde(tilde: float) -> float:
     return tilde / (1.0 - tilde)
 
 
-def _upper_band(M: np.ndarray, w: int) -> np.ndarray:
-    """LAPACK upper band storage of a symmetric M of bandwidth w: row w - k
-    holds the k-th superdiagonal."""
-    band = np.zeros((w + 1, len(M)))
-    for k in range(w + 1):
-        band[w - k, k:] = np.diagonal(M, k)
-    return band
-
-
-def _top_eigenpair(band: np.ndarray) -> tuple[float, np.ndarray]:
-    """Largest eigenvalue and a unit eigenvector of a matrix in upper band
-    storage; only that pair is computed."""
-    top = band.shape[1] - 1
-    w, v = eig_banded(band, select="i", select_range=(top, top), check_finite=False)
-    return float(w[0]), v[:, 0]
-
-
 def rho4(d: int, ell: int) -> tuple[float, KernelSpec]:
     """Exact quartic rate quantity from its optimality condition.
 
@@ -192,22 +179,24 @@ def rho4(d: int, ell: int) -> tuple[float, KernelSpec]:
     (cos(theta), sin(theta)): the root of the increasing function
     g(theta) = theta - atan2(a^2, b^2).  An Illinois (modified regula falsi)
     search brackets it until |g| reaches rounding level or the bracket is
-    1e-10 wide; each probe solves only the top eigenpair of the band-4
+    1e-10 wide; each probe solves only the top eigenpair of the banded
     matrix, and the kernel is the probe with the smallest |g|.
     A direction with b <= 0 (a <= 0) is counted as skipped and moves the
     search toward B (A).
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    A = _gegenbauer_toeplitz(d, ell, _harmonic(2)).matrix
-    B = _gegenbauer_toeplitz(d, ell, _harmonic(4)).matrix
-    A_band, B_band = _upper_band(A, 4), _upper_band(B, 4)
+    A_op = _gegenbauer_toeplitz(d, ell, _harmonic(2))
+    B_op = _gegenbauer_toeplitz(d, ell, _harmonic(4))
+    A, B = A_op.matrix, B_op.matrix
+    w = B_op.bandwidth  # T[C_4]'s band holds T[C_2]'s
+    A_band, B_band = toeplitz.upper_band(A, w), toeplitz.upper_band(B, w)
     skipped = 0
     best = (math.inf, None)
 
     def g(theta: float) -> float:
         nonlocal skipped, best
-        _, u = _top_eigenpair(math.cos(theta) * A_band + math.sin(theta) * B_band)
+        _, u = toeplitz.top_eigenpair(math.cos(theta) * A_band + math.sin(theta) * B_band)
         a, b = float(u @ A @ u), float(u @ B @ u)
         if b <= 0 or a <= 0:
             skipped += 1
@@ -247,19 +236,32 @@ def rho4(d: int, ell: int) -> tuple[float, KernelSpec]:
     return spec.rho_value, spec
 
 
-def rate_table(d_list, ell_list, n_list, jobs: int | None = None) -> list[dict]:
-    """One row per (d, ell, n) combination, sorted canonically.
+@lru_cache(maxsize=512)
+def kernel_for(d: int, ell: int, n: int) -> KernelSpec:
+    """The kernel a certificate of half-degree n uses: the constant q = 1 for
+    n = 0, the exact optimizer for n in {1, 2} (rho2, rho4), the rho_tilde
+    optimizer otherwise (its e is feasible and certified through
+    rho_from_tilde).  Cached: the kernel depends only on (d, ell, n), not on
+    the instance."""
+    if n == 0:
+        return KernelSpec(d=d, ell=ell, n=0, e=np.eye(1, ell + 1)[0], lambdas=np.zeros(0))
+    if n == 1:
+        _, spec = rho2(d, ell)
+    elif n == 2:
+        _, spec = rho4(d, ell)
+    else:
+        _, spec = rho_tilde(d, ell, n)
+    return spec
+
+
+def rate_table(d_list, ell_list, n_list) -> list[dict]:
+    """One row per (d, ell, n) combination, sorted canonically, computed
+    serially.
 
     rho2 / rho4 are filled for n = 1 / n = 2; rho_bound is the best certified
-    value available (direct quantity or rho_from_tilde of the proxy).  Cells
-    are computed serially; jobs is accepted for compatibility and ignored
-    (a thread pool measured slower than serial)."""
-    cells = sorted(
-        (d, ell, n) for d in d_list for ell in ell_list for n in n_list
-    )
-
-    def compute(cell):
-        d, ell, n = cell
+    value available (direct quantity or rho_from_tilde of the proxy)."""
+    rows = []
+    for d, ell, n in sorted((d, ell, n) for d in d_list for ell in ell_list for n in n_list):
         row = {"d": d, "ell": ell, "n": n, "rho2": None, "rho4": None}
         direct = None
         if n == 1:
@@ -282,6 +284,5 @@ def rate_table(d_list, ell_list, n_list, jobs: int | None = None) -> list[dict]:
         if tilde < 1.0:
             candidates.append(rho_from_tilde(tilde))
         row["rho_bound"] = min(candidates) if candidates else None
-        return row
-
-    return [compute(cell) for cell in cells]
+        rows.append(row)
+    return rows

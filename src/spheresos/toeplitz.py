@@ -15,6 +15,9 @@ C_k, those with i + j < k, since p_i p_j has degree i + j and is orthogonal
 to C_k.  In particular T[C_{2k}] is the zero matrix for ell < k, so a sign
 test on its quadratic forms, or a banded solver, reads the structure rather
 than the rounding of the quadrature.
+
+Every top eigenpair comes from one banded solver, top_eigenpair on the
+upper_band storage; lambda_max applies it to T[h] with the band of deg(h).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eig_banded, eigh_tridiagonal
 
 from .gegenbauer import GegenbauerBasis, _offdiagonal
 
@@ -97,21 +100,40 @@ def build_single_gegenbauer(basis: GegenbauerBasis, ell: int, k: int) -> Toeplit
     return build(basis, ell, coeffs, kind="gegenbauer")
 
 
+def upper_band(M: np.ndarray, w: int) -> np.ndarray:
+    """LAPACK upper band storage of a symmetric M of bandwidth w: row w - k
+    holds the k-th superdiagonal."""
+    band = np.zeros((w + 1, len(M)))
+    for k in range(w + 1):
+        band[w - k, k:] = np.diagonal(M, k)
+    return band
+
+
+def top_eigenpair(band: np.ndarray) -> tuple[float, np.ndarray]:
+    """Largest eigenvalue and a unit eigenvector of a matrix in upper band
+    storage; only that pair is computed."""
+    top = band.shape[1] - 1
+    w, v = eig_banded(band, select="i", select_range=(top, top), check_finite=False)
+    return float(w[0]), v[:, 0]
+
+
+def canonical_sign(v: np.ndarray) -> np.ndarray:
+    """v or -v, whichever has its largest-magnitude entry positive."""
+    return -v if v[int(np.argmax(np.abs(v)))] < 0 else v
+
+
 def lambda_max(op: ToeplitzOp) -> tuple[float, np.ndarray]:
-    """Largest eigenvalue and unit eigenvector of the symmetric matrix.
+    """Largest eigenvalue and unit eigenvector of T[h], solved from its band
+    of width deg(h).
 
     The eigenvector sign is fixed by making its largest-magnitude entry
-    positive; the residual |T v - lam v| is checked against 1e-10 |T|.
+    positive; the residual |T v - lam v| is checked against
+    1e-10 max(|lam|, 1).
     """
-    w, V = np.linalg.eigh(op.matrix)
-    lam = float(w[-1])
-    vec = V[:, -1]
-    pivot = int(np.argmax(np.abs(vec)))
-    if vec[pivot] < 0:
-        vec = -vec
-    norm_t = max(abs(float(w[0])), abs(lam))  # the 2-norm of a symmetric matrix
+    lam, vec = top_eigenpair(upper_band(op.matrix, op.bandwidth))
+    vec = canonical_sign(vec)
     resid = float(np.linalg.norm(op.matrix @ vec - lam * vec))
-    if resid > 1e-10 * max(norm_t, 1.0):  # pragma: no cover
+    if resid > 1e-10 * max(abs(lam), 1.0):  # pragma: no cover
         raise RuntimeError(f"eigensolver residual {resid:.3e} too large")
     return lam, vec
 

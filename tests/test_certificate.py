@@ -209,6 +209,20 @@ def test_halved_delta_fails_margin():
     assert weak.verification.eq15_margin < 0.0
 
 
+def test_nonpositive_stored_lambda_fails_margin():
+    # A stored lambda_{2k} <= 0 makes the theorem slack infinite, however
+    # large delta is; the margin check reads that without dividing by zero.
+    rng = np.random.default_rng(7)
+    F = rand_homog(3, 4, rng)
+    data = build_certificate(F, ell=12, seed=11).to_dict()
+    data["delta"] = 100.0
+    for lam2 in (-0.5, 0.0):
+        data["spec"]["lambdas"][0] = lam2
+        report = verify_certificate(F, Certificate.from_dict(data), seed=11)
+        assert report.checks["margin"] is False
+        assert report.eq15_margin == -np.inf
+
+
 def test_wrong_dimension_rejected():
     rng = np.random.default_rng(8)
     cert = build_certificate(rand_homog(3, 2, rng), ell=4)

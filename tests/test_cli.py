@@ -75,17 +75,27 @@ def test_rho_table_explicit_ell(tmp_path):
 def test_rho_table_deterministic_with_embedded_kernels(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    args = ["rho-table", "--d", "3", "--ell-mult", "2:5", "--n", "1", "--format", "json"]
+    args = ["rho-table", "--d", "3", "--ell-mult", "2:5", "--n", "1:2", "--format", "json"]
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     payload = json.loads(a.read_text())
     assert payload["seed"] == 0
+    assert {row["n"] for row in payload["rows"]} == {1, 2}
     for row in payload["rows"]:
         kernel = row["kernel"]
         assert len(kernel["e"]) == row["ell"] + 1
         assert np.linalg.norm(kernel["e"]) == pytest.approx(1.0, abs=1e-12)
         assert len(kernel["lambdas"]) == row["n"]
+        # the embedded kernel is the one whose value the row reports
+        value = row["rho2"] if row["n"] == 1 else row["rho4"]
+        lambdas = np.asarray(kernel["lambdas"])
+        assert np.sum(np.abs(1.0 / lambdas - 1.0)) == pytest.approx(value, rel=1e-12)
+    # ell = 1 cannot reach the 4th harmonic: rho4 is inf and there is no kernel
+    assert main(["rho-table", "--d", "3", "--ell", "1", "--n", "2", "--format", "json",
+                 "--out", str(a)]) == 0
+    (row,) = json.loads(a.read_text())["rows"]
+    assert row["rho4"] == math.inf and row["kernel"] is None
 
 
 def test_certify_and_verify_round_trip(tmp_path, quartic_file, capsys):

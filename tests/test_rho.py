@@ -149,13 +149,13 @@ def _rho4_dense_bisection(d, ell):
 
 def test_rho4_matches_dense_bisection(monkeypatch):
     calls = []
-    solver = rho_mod.eig_banded
+    solver = tz.eig_banded
 
     def counting(*args, **kwargs):
         calls.append(1)
         return solver(*args, **kwargs)
 
-    monkeypatch.setattr(rho_mod, "eig_banded", counting)
+    monkeypatch.setattr(tz, "eig_banded", counting)
     for d in range(2, 9):
         for ell in (2, 3, 5, 12, 30, 80):
             calls.clear()
@@ -165,16 +165,46 @@ def test_rho4_matches_dense_bisection(monkeypatch):
             assert value == pytest.approx(oracle, rel=1e-12), (d, ell)
 
 
-def test_banded_top_eigenpair_matches_dense():
+def test_banded_top_eigenpair_matches_dense(monkeypatch):
     for d, ell in ((2, 3), (3, 12), (5, 30), (8, 80)):
         basis = GegenbauerBasis(d, ell + 4)
         A = tz.build_single_gegenbauer(basis, ell, 2).matrix
         B = tz.build_single_gegenbauer(basis, ell, 4).matrix
         for M in (A, B, *(math.cos(t) * A + math.sin(t) * B for t in (0.3, 0.9, 1.4))):
-            lam, u = rho_mod._top_eigenpair(rho_mod._upper_band(M, 4))
+            lam, u = tz.top_eigenpair(tz.upper_band(M, 4))
             w, V = np.linalg.eigh(M)
             assert lam == pytest.approx(w[-1], abs=1e-13), (d, ell)
             assert abs(float(u @ V[:, -1])) >= 1.0 - 1e-12, (d, ell)
+
+    # lambda_max solves T[h] from its band with one eig_banded call: on
+    # rho_tilde's multipliers (n = 1..3) and on a monomial multiplier of
+    # mixed parity.
+    calls = []
+    solver = tz.eig_banded
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solver(*args, **kwargs)
+
+    monkeypatch.setattr(tz, "eig_banded", counting)
+    for d in (3, 5):
+        for ell in (1, 3, 12, 30, 80):
+            basis = GegenbauerBasis(d, ell + 6)
+            ops = []
+            for n in (1, 2, 3):
+                coeffs = np.zeros(2 * n + 1)
+                coeffs[2 : 2 * n + 1 : 2] = 1.0 / n
+                ops.append(tz.build(basis, ell, coeffs, kind="gegenbauer"))
+            ops.append(tz.build(basis, ell, [0.5, -0.2, 1.0, 0.3]))
+            for op in ops:
+                calls.clear()
+                lam, u = tz.lambda_max(op)
+                assert len(calls) == 1
+                w, V = np.linalg.eigh(op.matrix)
+                key = (d, ell, op.h_descriptor)
+                assert lam == pytest.approx(w[-1], abs=1e-13), key
+                assert abs(float(u @ V[:, -1])) >= 1.0 - 1e-12, key
+                assert u[int(np.argmax(np.abs(u)))] > 0, key
 
 
 def test_cached_toeplitz_is_fresh_build_and_read_only():
@@ -293,12 +323,6 @@ def test_rate_table_rows():
             assert r["rho_bound"] == pytest.approx(min(candidates), abs=1e-12)
         else:
             assert r["rho_bound"] == np.inf
-
-
-def test_rate_table_parallel_matches_serial():
-    serial = rate_table([3, 4], [4, 6], [1, 2])
-    threaded = rate_table([3, 4], [4, 6], [1, 2], jobs=4)
-    assert serial == threaded
 
 
 def test_exposed_rate_constants_hold_on_sample_grid():
