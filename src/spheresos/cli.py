@@ -124,15 +124,11 @@ def _cmd_rho_table(args) -> int:
     else:
         specs = []
         for r in rows:
-            try:
-                spec = rho_mod.kernel_for(r["d"], r["ell"], r["n"])
-                kernel = {"e": list(map(float, spec.e)),
-                          "lambdas": list(map(float, spec.lambdas))}
-            except rho_mod.DegenerateKernelError:
-                kernel = None  # rho4 is inf: no kernel reaches the 4th harmonic
+            spec = r["kernel"]  # None when rho4 is inf
             specs.append({
                 **{k: r[k] for k in ("d", "ell", "n", "rho2", "rho4", "rho_tilde", "rho_bound")},
-                "kernel": kernel,
+                "kernel": None if spec is None else {
+                    "e": list(map(float, spec.e)), "lambdas": list(map(float, spec.lambdas))},
             })
         _write_artifact(args.out, _json_text({"seed": args.seed, "rows": specs}), config)
     return 0

@@ -8,9 +8,11 @@ Evaluation is compiled: on first use a polynomial (or, for a matrix
 polynomial, the stored upper triangle, one column per entry) becomes an
 exponent matrix over its monomials and a coefficient matrix with one column
 per polynomial, plus a second pair for the union of the monomials of its
-first partials.  A batch of points is then evaluated with one power table per
-variable, one gather-product into a (points x monomials) matrix and one
-matmul, for values and gradients alike.  The compiled form is cached in
+first partials.  A batch of points is then evaluated with one power table
+(powers of each variable that occurs, by repeated multiplication, no float
+pow), one gather-product per variable into a (monomials x points) matrix and
+one matmul, for values and gradients alike; sup_norm_sphere's max and min
+searches share each step's evaluation.  The compiled form is cached in
 ``_arrays``; code that edits ``terms`` in place resets it to None.
 """
 
@@ -20,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Row chunk for batched monomial evaluation, sized to keep the (points x terms)
-# work matrix a few tens of MB at most.
+# Row chunk for batched monomial evaluation, sized to keep the (terms x points)
+# work matrices and the power table a few tens of MB at most.
 _EVAL_CHUNK_ENTRIES = 4_000_000
 
 
@@ -46,7 +48,7 @@ class _MonomialMap:
     graded-lex order and ``coefs`` (monomials x columns) their coefficients,
     so ``apply(X)`` is monomials(X) @ coefs, of shape (N, columns)."""
 
-    __slots__ = ("exps", "coefs", "_tables")
+    __slots__ = ("exps", "coefs", "_vars", "_width", "_gather")
 
     def __init__(self, d: int, columns: list[dict]):
         keys = sorted(set().union(*columns), key=_graded_lex_key)
@@ -56,27 +58,36 @@ class _MonomialMap:
         for col, terms in enumerate(columns):
             for e, c in terms.items():
                 self.coefs[row[e], col] = c
-        # (variable, exponents 0..max, per-monomial exponent) for every
-        # variable that occurs; the others contribute a factor of 1.
-        self._tables = [
-            (i, np.arange(top + 1), self.exps[:, i].copy())
-            for i, top in enumerate(self.exps.max(axis=0, initial=0))
-            if top > 0
-        ]
+        # Only variables that occur get rows in the power table; the others
+        # contribute a factor of 1.  _gather[t, m] is the flattened table row
+        # holding x_t^e for used variable t at monomial m's exponent e.
+        tops = self.exps.max(axis=0, initial=0)
+        self._vars = np.flatnonzero(tops)
+        self._width = int(tops.max(initial=0)) + 1
+        self._gather = self.exps[:, self._vars].T + self._width * np.arange(
+            self._vars.size
+        )[:, None]
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         n = X.shape[0]
         nmon, ncol = self.coefs.shape
         if nmon == 0:
             return np.zeros((n, ncol))
+        nv, width = self._vars.size, self._width
         out = np.empty((n, ncol))
-        chunk = max(1, _EVAL_CHUNK_ENTRIES // nmon)
+        chunk = max(1, _EVAL_CHUNK_ENTRIES // max(nmon, nv * width))
         for lo in range(0, n, chunk):
-            Xc = X[lo : lo + chunk]
-            mono = np.ones((Xc.shape[0], nmon))
-            for i, powers, col in self._tables:
-                mono *= (Xc[:, i : i + 1] ** powers)[:, col]
-            out[lo : lo + chunk] = mono @ self.coefs
+            Xt = X[lo : lo + chunk].T[self._vars]
+            # powers 0..top of each used variable by repeated multiplication
+            table = np.empty((nv, width, Xt.shape[1]))
+            table[:, 0] = 1.0
+            table[:, 1:] = Xt[:, None, :]
+            np.multiply.accumulate(table, axis=1, out=table)
+            table = table.reshape(nv * width, Xt.shape[1])
+            mono = np.ones((nmon, Xt.shape[1]))
+            for rows in self._gather:
+                mono *= table[rows]
+            out[lo : lo + chunk] = mono.T @ self.coefs
         return out
 
 
@@ -517,17 +528,18 @@ def _project_rows(X: np.ndarray) -> np.ndarray:
     return X / np.linalg.norm(X, axis=1)[:, None]
 
 
-def _ascend(value_grad, X0: np.ndarray, iters: int, grad_tol: float):
+def _ascend(value_grad, X0: np.ndarray, sign: np.ndarray, iters: int, grad_tol: float):
     """Batched Riemannian gradient ascent on the sphere with backtracking.
 
-    value_grad maps an (R, d) batch to (values (R,), euclidean grads (R, d)).
-    Each row is an independent restart; moves are accepted only on strict
-    improvement, so per-restart trajectories are monotone.  Each step
-    evaluates only the rows still moving.  Returns the final values, the
-    points and a per-row flag: gradient below tol or step collapsed.
+    value_grad maps an (R, d) batch and its per-row signs s to the values of
+    s * f (R,) and their euclidean gradients (R, d), so a row with s = -1
+    descends.  Each row is an independent restart; moves are accepted only on
+    strict improvement, so per-restart trajectories are monotone.  Each step
+    evaluates only the rows still moving.  Returns the final values of sign *
+    f, the points and a per-row flag: gradient below tol or step collapsed.
     """
     X = X0.copy()
-    v, G = value_grad(X)
+    v, G = value_grad(X, sign)
     step = np.full(X.shape[0], 0.25)
     converged = np.zeros(X.shape[0], dtype=bool)
     for _ in range(iters):
@@ -538,7 +550,7 @@ def _ascend(value_grad, X0: np.ndarray, iters: int, grad_tol: float):
         if active.size == 0:
             break
         Xt = _project_rows(X[active] + step[active, None] * Gr[active])
-        vt, Gt = value_grad(Xt)
+        vt, Gt = value_grad(Xt, sign[active])
         better = vt > v[active]
         moved = active[better]
         X[moved] = Xt[better]
@@ -560,10 +572,13 @@ def sup_norm_sphere(
     matrix polynomial) over the unit sphere by multistart projected gradient
     ascent.  Deterministic in (restarts, seed), and the start points for
     ``restarts = r`` are a prefix of those for ``restarts = r + 1``, so
-    max_est is non-decreasing in restarts.  Estimates are not certified."""
+    max_est is non-decreasing in restarts.  The max and min searches run as
+    one batch of 2 * restarts rows, each step evaluating values and
+    gradients once for both.  Estimates are not certified."""
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     X0 = sample_sphere_array(target.d, restarts, seed)
+    signs = np.repeat([1.0, -1.0], restarts)
 
     def value_grad(X, sign):
         # sign * f and its gradient; for a matrix the extreme eigenvalue on
@@ -571,16 +586,16 @@ def sup_norm_sphere(
         vals, grads = target.eval_many(X), target.gradient_many(X)
         if isinstance(target, MatPoly):
             w, V = np.linalg.eigh(vals)
-            pick = -1 if sign > 0 else 0
-            vec = V[:, :, pick]
-            vals = w[:, pick]
+            rows = np.arange(X.shape[0])
+            pick = np.where(sign > 0, target.k - 1, 0)
+            vec = V[rows, :, pick]
+            vals = w[rows, pick]
             grads = np.einsum("naij,ni,nj->na", grads, vec, vec)
-        return sign * vals, sign * grads
+        return sign * vals, sign[:, None] * grads
 
-    vmax, Xmax, conv_max = _ascend(lambda X: value_grad(X, 1.0), X0, iters, grad_tol)
-    vmin, Xmin, conv_min = _ascend(lambda X: value_grad(X, -1.0), X0, iters, grad_tol)
-    vmin = -vmin
-    converged_restarts = int(np.count_nonzero(conv_max & conv_min))
+    v, X, conv = _ascend(value_grad, np.vstack([X0, X0]), signs, iters, grad_tol)
+    vmax, Xmax, vmin, Xmin = v[:restarts], X[:restarts], -v[restarts:], X[restarts:]
+    converged_restarts = int(np.count_nonzero(conv[:restarts] & conv[restarts:]))
 
     imax = int(np.argmax(vmax))
     imin = int(np.argmin(vmin))

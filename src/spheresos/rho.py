@@ -259,7 +259,9 @@ def rate_table(d_list, ell_list, n_list) -> list[dict]:
     serially.
 
     rho2 / rho4 are filled for n = 1 / n = 2; rho_bound is the best certified
-    value available (direct quantity or rho_from_tilde of the proxy)."""
+    value available (direct quantity or rho_from_tilde of the proxy).
+    kernel is the KernelSpec kernel_for(d, ell, n) returns, taken from the
+    solve that filled the row (None when rho4 is inf)."""
     rows = []
     for d, ell, n in sorted((d, ell, n) for d in d_list for ell in ell_list for n in n_list):
         row = {"d": d, "ell": ell, "n": n, "rho2": None, "rho4": None}
@@ -270,16 +272,17 @@ def rate_table(d_list, ell_list, n_list) -> list[dict]:
             tilde = spec.tilde
             row["rho2"] = direct
         else:
-            tilde, _ = rho_tilde(d, ell, n)
+            tilde, spec = rho_tilde(d, ell, n)
         row["rho_tilde"] = tilde
         if n == 2:
             try:
-                direct, _ = rho4(d, ell)
+                direct, spec = rho4(d, ell)
             except DegenerateKernelError:
                 # ell too small to reach the 4th harmonic: the exact
                 # quantity is infinite
-                direct = math.inf
+                direct, spec = math.inf, None
             row["rho4"] = direct
+        row["kernel"] = spec
         candidates = [] if direct is None else [direct]
         if tilde < 1.0:
             candidates.append(rho_from_tilde(tilde))

@@ -98,6 +98,38 @@ def test_rho_table_deterministic_with_embedded_kernels(tmp_path):
     assert row["rho4"] == math.inf and row["kernel"] is None
 
 
+def test_rho_table_json_solves_each_kernel_once(tmp_path, monkeypatch):
+    from spheresos import rho as rho_mod
+
+    # the former JSON path: rate_table for the values, kernel_for per row
+    rho_mod.kernel_for.cache_clear()
+    specs = []
+    for r in rho_mod.rate_table([3], [8, 12], [1, 2]):
+        spec = rho_mod.kernel_for(r["d"], r["ell"], r["n"])
+        specs.append({
+            **{k: r[k] for k in ("d", "ell", "n", "rho2", "rho4", "rho_tilde", "rho_bound")},
+            "kernel": {"e": list(map(float, spec.e)),
+                       "lambdas": list(map(float, spec.lambdas))},
+        })
+    expected = json.dumps({"seed": 0, "rows": specs}, indent=2, sort_keys=True) + "\n"
+
+    rho_mod.kernel_for.cache_clear()
+    calls = {"rho2": 0, "rho4": 0}
+    for name in calls:
+        solve = getattr(rho_mod, name)
+
+        def counted(d, ell, _solve=solve, _name=name):
+            calls[_name] += 1
+            return _solve(d, ell)
+
+        monkeypatch.setattr(rho_mod, name, counted)
+    out = tmp_path / "t.json"
+    assert main(["rho-table", "--d", "3", "--ell", "8,12", "--n", "1,2", "--format", "json",
+                 "--out", str(out)]) == 0
+    assert calls == {"rho2": 2, "rho4": 2}
+    assert out.read_text() == expected
+
+
 def test_certify_and_verify_round_trip(tmp_path, quartic_file, capsys):
     path, p = quartic_file
     cert_path = tmp_path / "cert.json"

@@ -314,6 +314,28 @@ def test_edited_terms_recompile_after_reset():
     assert p.gradient_many(x)[0].tolist() == [1.0, 1.0, 0.0]
 
 
+def edge_cases():
+    rng = np.random.default_rng(27)
+    return [
+        rand_homog(2, 16, rng),  # long power-table rows
+        rand_homog(3, 10, rng),
+        # x_1 and x_3 never occur
+        Poly(5, 4, {(4, 0, 0, 0, 0): 1.5, (1, 0, 3, 0, 0): -2.0, (2, 0, 1, 0, 1): 0.75}),
+        Poly.constant(4, 3.25),
+    ]
+
+
+@pytest.mark.parametrize("p", edge_cases(), ids=["d2_deg16", "d3_deg10", "unused_vars", "deg0"])
+def test_compiled_eval_edge_cases_match_termwise(p):
+    X = np.random.default_rng(28).standard_normal((6, p.d))
+    vals = p.eval_many(X)
+    grads = p.gradient_many(X)
+    for x, v, g in zip(X, vals, grads):
+        assert v == pytest.approx(termwise(p, x), rel=1e-13, abs=0.0)
+        for a in range(p.d):
+            assert g[a] == pytest.approx(termwise(p.partial(a), x), rel=1e-13, abs=0.0)
+
+
 # -- one sup-norm path for scalars and matrices ------------------------------
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -335,3 +357,40 @@ def test_sup_norm_converged_restart_count():
     capped = sup_norm_sphere(p, restarts=10, seed=0, iters=2)
     assert not capped.converged
     assert capped.converged_restarts < capped.restarts == 10
+
+
+def _sup_norm_cases():
+    rng = np.random.default_rng(33)
+    quartic = rand_homog(3, 4, rng)
+    entries = {(i, j): rand_homog(3, 2, rng) for i in range(3) for j in range(i, 3)}
+    return [quartic, MatPoly(3, 3, 2, entries)]
+
+
+@pytest.mark.parametrize("F", _sup_norm_cases(), ids=["quartic", "matrix_3x3"])
+def test_sup_norm_one_evaluation_per_ascent_step(F, monkeypatch):
+    # max and min searches share every step: one values call and one
+    # gradients call per step, plus the starting evaluation
+    calls = {"eval_many": 0, "gradient_many": 0}
+    cls = type(F)
+    for name in calls:
+        method = getattr(cls, name)
+
+        def counted(self, X, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(self, X)
+
+        monkeypatch.setattr(cls, name, counted)
+    iters = 10
+    # a tolerance no restart reaches in 10 steps keeps every row moving
+    sup_norm_sphere(F, restarts=8, seed=0, iters=iters, grad_tol=1e-300)
+    assert 1 < calls["eval_many"] <= iters + 1
+    assert 1 < calls["gradient_many"] <= iters + 1
+
+
+@pytest.mark.parametrize("F", _sup_norm_cases(), ids=["quartic", "matrix_3x3"])
+def test_sup_norm_of_negation_mirrors(F):
+    a = sup_norm_sphere(F, restarts=12, seed=5)
+    b = sup_norm_sphere(F * -1.0, restarts=12, seed=5)
+    assert b.max_est == pytest.approx(-a.min_est, rel=1e-12)
+    assert b.min_est == pytest.approx(-a.max_est, rel=1e-12)
+    assert b.converged_restarts == a.converged_restarts

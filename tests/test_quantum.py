@@ -207,6 +207,53 @@ def test_hsep_rank_one_product_alignment():
     assert abs(abs(y.conj() @ y0) - 1.0) < 1e-6
 
 
+def _hsep_lower_loop(M, restarts, seed):
+    # the former one-restart-at-a-time loop, kept as the oracle
+    T = M.mat.reshape(M.dims[0], M.dims[1], M.dims[0], M.dims[1])
+    d_b = M.dims[1]
+    rng = np.random.default_rng(seed)
+    best_val, best_x, best_y = -np.inf, None, None
+    for _ in range(max(restarts, 1)):
+        y = rng.standard_normal(d_b) + 1j * rng.standard_normal(d_b)
+        y /= np.linalg.norm(y)
+        val_prev = -np.inf
+        for _ in range(500):
+            A = np.einsum("j,ijkl,l->ik", y.conj(), T, y)
+            w, V = np.linalg.eigh(A)
+            x = V[:, -1]
+            B = np.einsum("i,ijkl,k->jl", x.conj(), T, x)
+            w, V = np.linalg.eigh(B)
+            y = V[:, -1]
+            val = float(w[-1].real)
+            if val - val_prev <= 1e-12 * max(1.0, abs(val)):
+                break
+            val_prev = val
+        if val > best_val:
+            best_val, best_x, best_y = val, x, y
+    return best_val, best_x, best_y
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+@pytest.mark.parametrize("kind", ["psd", "witness"])
+def test_hsep_lower_batch_matches_restart_loop(dims, kind):
+    d_a, d_b = dims
+    rng = np.random.default_rng(10 * d_a + d_b)
+    n = d_a * d_b
+    for trial in range(3):
+        mat = _rand_psd(rng, n)
+        if kind == "witness":  # block-positive, not PSD: P + Q^{T_B}
+            Q = QOperator.bipartite(_rand_psd(rng, n), d_a, d_b)
+            mat = mat + partial_transpose(Q, ["B1"]).mat
+        M = QOperator.bipartite(mat, d_a, d_b)
+        for restarts in (1, 5, 32):
+            val, x, y = hsep_lower(M, restarts=restarts, seed=trial)
+            ref, _, _ = _hsep_lower_loop(M, restarts, trial)
+            assert val == pytest.approx(ref, rel=1e-12, abs=0.0)
+            assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-12)
+            assert hermform_value(M, x, y) == pytest.approx(val, rel=1e-12, abs=0.0)
+
+
 def test_hermitian_form_is_real():
     # the bihomogeneous form of a Hermitian operator takes real values
     rng = np.random.default_rng(4)
