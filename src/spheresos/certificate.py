@@ -44,10 +44,12 @@ class VerificationReport:
     eq15_margin: float
     checks: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
-    # Witness positivity search: restarts run, and those that converged
-    # rather than stopping at the iteration cap.
+    # Witness positivity search: restarts run, those that converged rather
+    # than stopping at the iteration cap, and those of the converged with a
+    # side stopped at the rounding floor rather than by a small gradient.
     witness_restarts: int = 0
     witness_restarts_converged: int = 0
+    witness_restarts_floor: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -62,6 +64,7 @@ class VerificationReport:
             "witness_search": {
                 "restarts": self.witness_restarts,
                 "converged": self.witness_restarts_converged,
+                "floor": self.witness_restarts_floor,
             },
         }
 
@@ -253,7 +256,10 @@ def verify_certificate(
     est = sup_norm_sphere(witness, restarts=restarts, seed=seed)
     witness_ok = est.min_est >= -tol_witness
     if not est.converged:
-        notes.append("witness positivity search hit iteration cap")
+        capped = est.restarts - est.converged_restarts
+        notes.append(
+            f"witness positivity search hit iteration cap in {capped} of {est.restarts} restarts"
+        )
 
     margin = cert.delta - slack(n, spec.lambdas)[1]
     margin_ok = margin >= -tol_margin
@@ -277,6 +283,7 @@ def verify_certificate(
         notes=notes,
         witness_restarts=est.restarts,
         witness_restarts_converged=est.converged_restarts,
+        witness_restarts_floor=est.floor_restarts,
     )
 
 

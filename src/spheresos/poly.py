@@ -2,7 +2,9 @@
 
 Polynomials are stored as a map from exponent multi-indices to coefficients.
 All inputs and results are homogeneous; the total degree is carried as
-metadata so the zero polynomial keeps its degree.
+metadata so the zero polynomial keeps its degree.  Outside input is
+validated term by term; results of the internal arithmetic are valid by
+construction and skip the checks.
 
 Evaluation is compiled: on first use a polynomial (or, for a matrix
 polynomial, the stored upper triangle, one column per entry) becomes an
@@ -10,14 +12,17 @@ exponent matrix over its monomials and a coefficient matrix with one column
 per polynomial, plus a second pair for the union of the monomials of its
 first partials.  A batch of points is then evaluated with one power table
 (powers of each variable that occurs, by repeated multiplication, no float
-pow), one gather-product per variable into a (monomials x points) matrix and
-one matmul, for values and gradients alike; sup_norm_sphere's max and min
-searches share each step's evaluation.  The compiled form is cached in
-``_arrays``; code that edits ``terms`` in place resets it to None.
+pow), one gathered product of each monomial's nonzero-exponent factors into
+a (monomials x points) matrix and one matmul, for values and gradients
+alike.  sup_norm_sphere's max and min searches share each step's gradient
+evaluation and take the values from it by Euler's identity.  The compiled
+form is cached in ``_arrays``; code that edits ``terms`` in place resets it
+to None.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,15 +63,24 @@ class _MonomialMap:
         for col, terms in enumerate(columns):
             for e, c in terms.items():
                 self.coefs[row[e], col] = c
-        # Only variables that occur get rows in the power table; the others
-        # contribute a factor of 1.  _gather[t, m] is the flattened table row
-        # holding x_t^e for used variable t at monomial m's exponent e.
+        # Only variables that occur get rows in the power table, and each
+        # monomial gathers only its nonzero-exponent factors, in variable
+        # order: _gather[p, m] is the flattened table row of the p-th such
+        # factor of monomial m, or row 0 (x^0 = 1) once it has no more.
+        # Multiplying by 1.0 is exact, so the product is the same as over
+        # every used variable.
         tops = self.exps.max(axis=0, initial=0)
         self._vars = np.flatnonzero(tops)
         self._width = int(tops.max(initial=0)) + 1
-        self._gather = self.exps[:, self._vars].T + self._width * np.arange(
-            self._vars.size
-        )[:, None]
+        used = self.exps[:, self._vars]
+        flat = used + self._width * np.arange(self._vars.size)
+        nonzero = used > 0
+        order = np.argsort(~nonzero, axis=1, kind="stable")  # nonzero ones first
+        rows = np.where(
+            np.take_along_axis(nonzero, order, axis=1), np.take_along_axis(flat, order, axis=1), 0
+        )
+        npass = int(nonzero.sum(axis=1).max(initial=0))
+        self._gather = np.ascontiguousarray(rows[:, :npass].T)
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         n = X.shape[0]
@@ -78,15 +92,18 @@ class _MonomialMap:
         chunk = max(1, _EVAL_CHUNK_ENTRIES // max(nmon, nv * width))
         for lo in range(0, n, chunk):
             Xt = X[lo : lo + chunk].T[self._vars]
-            # powers 0..top of each used variable by repeated multiplication
-            table = np.empty((nv, width, Xt.shape[1]))
-            table[:, 0] = 1.0
-            table[:, 1:] = Xt[:, None, :]
-            np.multiply.accumulate(table, axis=1, out=table)
-            table = table.reshape(nv * width, Xt.shape[1])
-            mono = np.ones((nmon, Xt.shape[1]))
-            for rows in self._gather:
-                mono *= table[rows]
+            if not len(self._gather):  # constants only
+                mono = np.ones((nmon, Xt.shape[1]))
+            else:
+                # powers 0..top of each used variable by repeated multiplication
+                table = np.empty((nv, width, Xt.shape[1]))
+                table[:, 0] = 1.0
+                table[:, 1:] = Xt[:, None, :]
+                np.multiply.accumulate(table, axis=1, out=table)
+                table = table.reshape(nv * width, Xt.shape[1])
+                mono = table[self._gather[0]]
+                for rows in self._gather[1:]:
+                    mono *= table[rows]
             out[lo : lo + chunk] = mono.T @ self.coefs
         return out
 
@@ -170,6 +187,18 @@ class Poly:
         self.terms = {e: c for e, c in clean.items() if c != 0.0}
         self._arrays = None
 
+    @classmethod
+    def _trusted(cls, d: int, degree: int, terms: dict) -> "Poly":
+        """Result of internal arithmetic: int-tuple exponents of the right
+        length and degree and float coefficients by construction, so only
+        the exact zeros are dropped."""
+        out = cls.__new__(cls)
+        out.d = d
+        out.degree = degree
+        out.terms = {e: c for e, c in terms.items() if c != 0.0}
+        out._arrays = None
+        return out
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -208,7 +237,7 @@ class Poly:
         terms = dict(self.terms)
         for e, c in other.terms.items():
             terms[e] = terms.get(e, 0.0) + c
-        return Poly(self.d, self.degree, terms)
+        return Poly._trusted(self.d, self.degree, terms)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (other * -1.0)
@@ -220,10 +249,11 @@ class Poly:
             terms: dict[tuple[int, ...], float] = {}
             for e1, c1 in self.terms.items():
                 for e2, c2 in other.terms.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
+                    e = tuple(map(operator.add, e1, e2))
                     terms[e] = terms.get(e, 0.0) + c1 * c2
-            return Poly(self.d, self.degree + other.degree, terms)
-        return Poly(self.d, self.degree, {e: c * float(other) for e, c in self.terms.items()})
+            return Poly._trusted(self.d, self.degree + other.degree, terms)
+        scale = float(other)
+        return Poly._trusted(self.d, self.degree, {e: c * scale for e, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -252,7 +282,7 @@ class Poly:
 
     def partial(self, i: int) -> "Poly":
         """Partial derivative with respect to variable i."""
-        return Poly(self.d, max(self.degree - 1, 0), _partial_terms(self.terms, i))
+        return Poly._trusted(self.d, max(self.degree - 1, 0), _partial_terms(self.terms, i))
 
     def laplacian(self) -> "Poly":
         """Sum of second partials; degree drops by 2 (zero for degree < 2)."""
@@ -266,17 +296,25 @@ class Poly:
                     ne[i] -= 2
                     key = tuple(ne)
                     terms[key] = terms.get(key, 0.0) + c * e[i] * (e[i] - 1)
-        return Poly(self.d, self.degree - 2, terms)
+        return Poly._trusted(self.d, self.degree - 2, terms)
 
     def mul_norm_power(self, j: int) -> "Poly":
         """Multiply by |x|^(2j), expanded; degree grows by 2j."""
         if j < 0:
             raise ValueError("power must be >= 0")
-        out = self
-        nsq = Poly.norm_squared(self.d)
+        # |x|^2 = sum_i x_i^2: each round shifts every term by 2 in each
+        # variable, in the order a product with norm_squared would take.
+        terms = self.terms
         for _ in range(j):
-            out = out * nsq
-        return out
+            out: dict[tuple[int, ...], float] = {}
+            for e, c in terms.items():
+                for i in range(self.d):
+                    ne = list(e)
+                    ne[i] += 2
+                    key = tuple(ne)
+                    out[key] = out.get(key, 0.0) + c
+            terms = {e: c for e, c in out.items() if c != 0.0}
+        return Poly._trusted(self.d, self.degree + 2 * j, terms)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -509,10 +547,13 @@ class SupNormEstimate:
     """Multistart estimate of the range of a polynomial on the sphere.
 
     max_est / min_est are inner bounds (max_est <= true max, min_est >= true
-    min).  A restart has converged when both its ascent to the maximum and
-    its descent to the minimum stopped with a negligible Riemannian gradient
-    or a collapsed step rather than at the iteration cap; converged_restarts
-    counts them, and converged says that all of them did.
+    min), each a direct evaluation at its arg point.  A restart has converged
+    when both its ascent to the maximum and its descent to the minimum
+    stopped before the iteration cap: with a negligible Riemannian gradient,
+    or at the rounding floor (a failed step whose predicted gain is within
+    rounding of the values, or a collapsed step).  converged_restarts counts
+    them, converged says that all of them did, and floor_restarts counts the
+    converged restarts with at least one side stopped at the rounding floor.
     """
 
     max_est: float
@@ -522,10 +563,27 @@ class SupNormEstimate:
     converged: bool
     restarts: int
     converged_restarts: int
+    floor_restarts: int = 0
+
+
+# A failed trial step whose predicted first-order gain step * |grad_R|^2 is
+# at most this many units of eps * max|value| cannot change a value beyond
+# rounding, so the row stops there.
+_FLOOR_ULPS = 8.0
 
 
 def _project_rows(X: np.ndarray) -> np.ndarray:
     return X / np.linalg.norm(X, axis=1)[:, None]
+
+
+def _euler_values(target: Poly | MatPoly, X: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """Values at X from the gradients there, by Euler's identity
+    x . grad f(x) = degree * f(x); a constant is evaluated directly."""
+    if target.degree == 0:
+        return target.eval_many(X)
+    if isinstance(target, MatPoly):
+        return np.einsum("na,naij->nij", X, grads) / target.degree
+    return np.einsum("na,na->n", X, grads) / target.degree
 
 
 def _ascend(value_grad, X0: np.ndarray, sign: np.ndarray, iters: int, grad_tol: float):
@@ -535,30 +593,38 @@ def _ascend(value_grad, X0: np.ndarray, sign: np.ndarray, iters: int, grad_tol: 
     s * f (R,) and their euclidean gradients (R, d), so a row with s = -1
     descends.  Each row is an independent restart; moves are accepted only on
     strict improvement, so per-restart trajectories are monotone.  Each step
-    evaluates only the rows still moving.  Returns the final values of sign *
-    f, the points and a per-row flag: gradient below tol or step collapsed.
+    evaluates only the rows still moving.  A row stops when its Riemannian
+    gradient is below grad_tol, or at the rounding floor: a rejected step
+    whose predicted gain step * |grad_R|^2 is at most _FLOOR_ULPS * eps * S,
+    with S the largest |value| in the batch, or a step shrunk to 1e-14.
+    Returns the final points and two per-row flags: stopped by the
+    gradient, and stopped at the rounding floor.
     """
     X = X0.copy()
     v, G = value_grad(X, sign)
     step = np.full(X.shape[0], 0.25)
-    converged = np.zeros(X.shape[0], dtype=bool)
+    small_grad = np.zeros(X.shape[0], dtype=bool)
+    floor = np.zeros(X.shape[0], dtype=bool)
+    floor_ulp = _FLOOR_ULPS * np.finfo(float).eps
     for _ in range(iters):
         Gr = G - (np.sum(G * X, axis=1))[:, None] * X
         gn2 = np.sum(Gr * Gr, axis=1)
-        converged |= gn2 <= grad_tol**2
-        active = np.flatnonzero(~converged & (step > 1e-14))
+        small_grad |= gn2 <= grad_tol**2
+        active = np.flatnonzero(~small_grad & ~floor & (step > 1e-14))
         if active.size == 0:
             break
         Xt = _project_rows(X[active] + step[active, None] * Gr[active])
         vt, Gt = value_grad(Xt, sign[active])
         better = vt > v[active]
-        moved = active[better]
+        moved, failed = active[better], active[~better]
+        floor[failed] = step[failed] * gn2[failed] <= floor_ulp * np.abs(v).max()
         X[moved] = Xt[better]
         v[moved] = vt[better]
         G[moved] = Gt[better]
         step[moved] *= 1.3
-        step[active[~better]] *= 0.5
-    return v, X, converged | (step <= 1e-14)
+        step[failed] *= 0.5
+    floor |= ~small_grad & (step <= 1e-14)
+    return X, small_grad, floor
 
 
 def sup_norm_sphere(
@@ -572,19 +638,25 @@ def sup_norm_sphere(
     matrix polynomial) over the unit sphere by multistart projected gradient
     ascent.  Deterministic in (restarts, seed), and the start points for
     ``restarts = r`` are a prefix of those for ``restarts = r + 1``, so
-    max_est is non-decreasing in restarts.  The max and min searches run as
-    one batch of 2 * restarts rows, each step evaluating values and
-    gradients once for both.  Estimates are not certified."""
+    max_est is non-decreasing in restarts (up to the rounding floor, whose
+    scale is the batch's largest |value|).  The max and min searches run as
+    one batch of 2 * restarts rows.  Each step makes one gradient evaluation
+    for both and takes the values from it by Euler's identity,
+    f(x) = x . grad f(x) / degree; the final points are evaluated once
+    directly, and max_est / min_est are picked from those values.  Estimates
+    are not certified."""
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     X0 = sample_sphere_array(target.d, restarts, seed)
     signs = np.repeat([1.0, -1.0], restarts)
+    matrix = isinstance(target, MatPoly)
 
     def value_grad(X, sign):
         # sign * f and its gradient; for a matrix the extreme eigenvalue on
         # the side of sign, whose gradient is v^T (dF/dx_a) v.
-        vals, grads = target.eval_many(X), target.gradient_many(X)
-        if isinstance(target, MatPoly):
+        grads = target.gradient_many(X)
+        vals = _euler_values(target, X, grads)
+        if matrix:
             w, V = np.linalg.eigh(vals)
             rows = np.arange(X.shape[0])
             pick = np.where(sign > 0, target.k - 1, 0)
@@ -593,12 +665,19 @@ def sup_norm_sphere(
             grads = np.einsum("naij,ni,nj->na", grads, vec, vec)
         return sign * vals, sign[:, None] * grads
 
-    v, X, conv = _ascend(value_grad, np.vstack([X0, X0]), signs, iters, grad_tol)
-    vmax, Xmax, vmin, Xmin = v[:restarts], X[:restarts], -v[restarts:], X[restarts:]
-    converged_restarts = int(np.count_nonzero(conv[:restarts] & conv[restarts:]))
+    X, small_grad, floor = _ascend(value_grad, np.vstack([X0, X0]), signs, iters, grad_tol)
+    vals = target.eval_many(X)
+    if matrix:
+        w = np.linalg.eigvalsh(vals)
+        vals = np.concatenate([w[:restarts, -1], w[restarts:, 0]])
+    vmax, Xmax, vmin, Xmin = vals[:restarts], X[:restarts], vals[restarts:], X[restarts:]
+    stopped = small_grad | floor
+    done = stopped[:restarts] & stopped[restarts:]
+    at_floor = done & (floor[:restarts] | floor[restarts:])
 
     imax = int(np.argmax(vmax))
     imin = int(np.argmin(vmin))
+    converged_restarts = int(np.count_nonzero(done))
     return SupNormEstimate(
         max_est=float(vmax[imax]),
         min_est=float(vmin[imin]),
@@ -607,4 +686,5 @@ def sup_norm_sphere(
         converged=converged_restarts == restarts,
         restarts=restarts,
         converged_restarts=converged_restarts,
+        floor_restarts=int(np.count_nonzero(at_floor)),
     )

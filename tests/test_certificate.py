@@ -195,9 +195,28 @@ def test_report_carries_witness_search_counts():
     assert rep.to_dict()["witness_search"] == {
         "restarts": 10,
         "converged": est.converged_restarts,
+        "floor": est.floor_restarts,
     }
     capped = any("iteration cap" in note for note in rep.notes)
     assert capped == (rep.witness_restarts_converged < rep.witness_restarts)
+
+
+def test_cap_note_counts_capped_restarts(monkeypatch):
+    from spheresos import certificate as cert_mod
+
+    rng = np.random.default_rng(8)
+    F = rand_homog(3, 4, rng)
+    cert = build_certificate(F, ell=12, restarts=10, seed=12)
+    # two steps are too few for the witness search to settle
+    monkeypatch.setattr(
+        cert_mod, "sup_norm_sphere",
+        lambda target, **kw: sup_norm_sphere(target, iters=2, **kw),
+    )
+    rep = verify_certificate(F, cert, restarts=10, seed=12)
+    capped = rep.witness_restarts - rep.witness_restarts_converged
+    assert capped > 0
+    assert f"witness positivity search hit iteration cap in {capped} of 10 restarts" in rep.notes
+    assert 0 <= rep.witness_restarts_floor <= rep.witness_restarts_converged
 
 
 def test_halved_delta_fails_margin():

@@ -368,8 +368,9 @@ def _sup_norm_cases():
 
 @pytest.mark.parametrize("F", _sup_norm_cases(), ids=["quartic", "matrix_3x3"])
 def test_sup_norm_one_evaluation_per_ascent_step(F, monkeypatch):
-    # max and min searches share every step: one values call and one
-    # gradients call per step, plus the starting evaluation
+    # max and min searches share every step: one gradients call per step,
+    # plus the starting evaluation, with the values taken from it by Euler's
+    # identity; the final points are evaluated directly once
     calls = {"eval_many": 0, "gradient_many": 0}
     cls = type(F)
     for name in calls:
@@ -383,7 +384,7 @@ def test_sup_norm_one_evaluation_per_ascent_step(F, monkeypatch):
     iters = 10
     # a tolerance no restart reaches in 10 steps keeps every row moving
     sup_norm_sphere(F, restarts=8, seed=0, iters=iters, grad_tol=1e-300)
-    assert 1 < calls["eval_many"] <= iters + 1
+    assert calls["eval_many"] == 1
     assert 1 < calls["gradient_many"] <= iters + 1
 
 
@@ -394,3 +395,119 @@ def test_sup_norm_of_negation_mirrors(F):
     assert b.max_est == pytest.approx(-a.min_est, rel=1e-12)
     assert b.min_est == pytest.approx(-a.max_est, rel=1e-12)
     assert b.converged_restarts == a.converged_restarts
+
+
+# -- cheaper search steps ----------------------------------------------------
+
+def _euler_cases():
+    rng = np.random.default_rng(40)
+    scalars = [rand_homog(3, degree, rng) for degree in range(1, 9)]
+    entries = {(i, j): rand_homog(3, 4, rng) for i in range(3) for j in range(i, 3)}
+    return scalars + [MatPoly(3, 3, 4, entries), Poly.constant(3, -1.75)]
+
+
+@pytest.mark.parametrize(
+    "F", _euler_cases(), ids=[f"deg{k}" for k in range(1, 9)] + ["matrix_3x3", "deg0"]
+)
+def test_euler_values_match_direct_evaluation(F):
+    from spheresos.poly import _euler_values
+
+    X = np.vstack([
+        sample_sphere_array(3, 20, seed=41),
+        np.random.default_rng(42).standard_normal((5, 3)),
+    ])
+    direct = F.eval_many(X)
+    euler = _euler_values(F, X, F.gradient_many(X))
+    assert euler.shape == direct.shape
+    scale = max(np.abs(direct).max(), 1.0)
+    assert np.abs(euler - direct).max() <= 1e-13 * scale
+
+
+def _per_variable_apply(m, X):
+    """Former evaluation: one gathered factor per used variable, x^0 included."""
+    nv, width = m._vars.size, m._width
+    table = np.empty((nv, width, X.shape[0]))
+    table[:, 0] = 1.0
+    table[:, 1:] = X.T[m._vars][:, None, :]
+    np.multiply.accumulate(table, axis=1, out=table)
+    mono = np.ones((m.exps.shape[0], X.shape[0]))
+    for t, var in enumerate(m._vars):
+        mono *= table[t][m.exps[:, var]]
+    return mono.T @ m.coefs
+
+
+def _gather_cases():
+    rng = np.random.default_rng(43)
+    return [
+        rand_homog(2, 16, rng),
+        # x_1 and x_3 never occur
+        Poly(5, 4, {(4, 0, 0, 0, 0): 1.5, (1, 0, 3, 0, 0): -2.0, (2, 0, 1, 0, 1): 0.75}),
+        rand_homog(8, 4, rng),
+        Poly.constant(4, 3.25),
+    ]
+
+
+@pytest.mark.parametrize("p", _gather_cases(), ids=["d2_deg16", "unused_vars", "d8_quartic", "deg0"])
+def test_nonzero_factor_gather_is_bit_identical(p):
+    X = np.random.default_rng(44).standard_normal((7, p.d))
+    compiled = p._compiled()
+    for m in (compiled.values, compiled.partials):
+        assert np.array_equal(m.apply(X), _per_variable_apply(m, X))
+
+
+@pytest.mark.parametrize(
+    "p, top, bottom",
+    [
+        (Poly(4, 2, {(2, 0, 0, 0): 3.0, (0, 2, 0, 0): 1.0, (0, 0, 2, 0): -0.5, (0, 0, 0, 2): -2.0}), 3.0, -2.0),
+        (Poly(3, 4, {(4, 0, 0): 1.0, (0, 4, 0): 1.0, (0, 0, 4): 1.0}), 1.0, 1.0 / 3.0),
+    ],
+    ids=["diagonal_quadratic", "sum_of_fourth_powers"],
+)
+def test_sup_norm_known_extremes_stop_before_cap(p, top, bottom):
+    est = sup_norm_sphere(p, restarts=16, seed=7)
+    assert est.converged and est.converged_restarts == 16
+    assert 0 <= est.floor_restarts <= est.converged_restarts
+    assert abs(est.max_est - top) <= 1e-14
+    assert abs(est.min_est - bottom) <= 1e-14
+
+
+def test_internal_arithmetic_matches_validated_construction():
+    rng = np.random.default_rng(45)
+    p, q = rand_homog(3, 4, rng), rand_homog(3, 4, rng)
+    results = [
+        p + q,
+        p - p,  # every coefficient cancels exactly
+        p * q,
+        2.5 * p,
+        p * 0.0,
+        p.laplacian(),
+        p.partial(1),
+        p.mul_norm_power(2),
+        Poly.constant(3, 1.0).mul_norm_power(3),
+    ]
+    for r in results:
+        checked = Poly(r.d, r.degree, r.terms)
+        assert r.terms == checked.terms
+        assert all(type(c) is float and c != 0.0 for c in r.terms.values())
+        assert all(type(a) is int for e in r.terms for a in e)
+    assert (p - p).terms == {} and (p * 0.0).terms == {}
+    # |x|^(2j) by shifts is the product with norm_squared, term for term
+    nsq = Poly.norm_squared(3)
+    assert p.mul_norm_power(2).terms == (p * nsq * nsq).terms
+
+
+def test_rounding_floor_stops_before_step_collapse(monkeypatch):
+    # a step halves from 0.25 to below 1e-14 only after 45 rejections, so a
+    # search that ends sooner with every row converged stopped at the floor
+    calls = {"gradient_many": 0}
+    method = Poly.gradient_many
+
+    def counted(self, X):
+        calls["gradient_many"] += 1
+        return method(self, X)
+
+    monkeypatch.setattr(Poly, "gradient_many", counted)
+    p = Poly(3, 4, {(4, 0, 0): 1.0, (0, 4, 0): 1.0, (0, 0, 4): 1.0})
+    est = sup_norm_sphere(p, restarts=16, seed=7)
+    assert est.converged and est.floor_restarts > 0
+    assert calls["gradient_many"] < 45
