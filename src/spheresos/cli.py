@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -89,8 +90,8 @@ def _write_artifact(path: str | None, text: str, config: dict):
         fh.write("\n")
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _json_text(obj, allow_nan: bool = True) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=allow_nan) + "\n"
 
 
 def _cmd_rho_table(args) -> int:
@@ -126,11 +127,14 @@ def _cmd_rho_table(args) -> int:
         for r in rows:
             spec = r["kernel"]  # None when rho4 is inf
             specs.append({
-                **{k: r[k] for k in ("d", "ell", "n", "rho2", "rho4", "rho_tilde", "rho_bound")},
+                # strict JSON has no inf: an unreachable rho4 is written as null
+                **{k: None if r[k] == math.inf else r[k]
+                   for k in ("d", "ell", "n", "rho2", "rho4", "rho_tilde", "rho_bound")},
                 "kernel": None if spec is None else {
                     "e": list(map(float, spec.e)), "lambdas": list(map(float, spec.lambdas))},
             })
-        _write_artifact(args.out, _json_text({"seed": args.seed, "rows": specs}), config)
+        _write_artifact(args.out, _json_text({"seed": args.seed, "rows": specs}, allow_nan=False),
+                        config)
     return 0
 
 

@@ -9,12 +9,14 @@ functions C_k / sqrt(C_k(1)) are orthonormal for the probability measure
     dmu(t) = (omega_{d-1} / omega_d) (1 - t^2)^((d-3)/2) dt.
 
 The basis carries the three-term recurrence, endpoint values, and Gauss
-quadrature rules for dmu.
+quadrature rules for dmu; a rule depends only on (d, node count), so every
+basis of one d shares one cached, read-only copy.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -47,6 +49,20 @@ def _recurrence_beta(d: int, k: int) -> float:
 
 def _offdiagonal(d: int, count: int) -> np.ndarray:
     return np.sqrt([_recurrence_beta(d, k) for k in range(1, count + 1)])
+
+
+@lru_cache(maxsize=512)
+def _gauss_rule(d: int, node_count: int) -> tuple[np.ndarray, np.ndarray]:
+    if node_count == 1:
+        nodes, weights = np.zeros(1), np.ones(1)
+    else:
+        try:
+            nodes, vecs = eigh_tridiagonal(np.zeros(node_count), _offdiagonal(d, node_count - 1))
+        except np.linalg.LinAlgError as exc:  # pragma: no cover
+            raise RuntimeError(f"quadrature eigensolver failed: {exc}") from exc
+        weights = vecs[0, :] ** 2
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 class GegenbauerBasis:
@@ -118,19 +134,12 @@ class GegenbauerBasis:
         """Gauss nodes and weights for dmu, exact to degree 2*node_count - 1.
 
         Golub-Welsch on the Jacobi matrix of the recurrence; since dmu is a
-        probability measure the weights sum to 1.
+        probability measure the weights sum to 1.  Each rule is solved once
+        per process and shared, read-only, by every basis of this d.
         """
         if node_count < 1:
             raise ValueError("node_count must be >= 1")
-        if node_count == 1:
-            return np.zeros(1), np.ones(1)
-        offd = _offdiagonal(self.d, node_count - 1)
-        try:
-            nodes, vecs = eigh_tridiagonal(np.zeros(node_count), offd)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise RuntimeError(f"quadrature eigensolver failed: {exc}") from exc
-        weights = vecs[0, :] ** 2
-        return nodes, weights
+        return _gauss_rule(self.d, node_count)
 
     def gegenbauer_combination_values(self, coeffs, t) -> np.ndarray:
         """Evaluate sum_k coeffs[k] * C_k(t)/C_k(1) at the given t values."""

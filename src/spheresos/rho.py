@@ -12,8 +12,9 @@ q(t) = sum_i e_i C_i(t)/sqrt(C_i(1)) together with the induced eigenvalues
 lambda_{2k} of the squared kernel and the slack delta it certifies.
 kernel_for picks the solver for each n (the one kernel a certificate uses),
 and slack is the one formula from eigenvalues to (rho, delta).
-Each Toeplitz matrix is built once per (d, ell, multiplier) and shared
-read-only by the solvers and kernel_lambdas.
+Each rate cell (d, ell, n) builds its family T[C_2], ..., T[C_2n] in one
+toeplitz.build call on one quadrature, shared read-only by the solvers and
+kernel_lambdas.
 """
 
 from __future__ import annotations
@@ -71,11 +72,8 @@ class KernelSpec:
 def kernel_lambdas(d: int, ell: int, n: int, e: np.ndarray) -> np.ndarray:
     """lambda_{2k} = e^T T[C_{2k}/C_{2k}(1)] e for k = 1..n, with e taken as
     given (a unit e makes lambda_0 = 1)."""
-    lambdas = np.empty(n)
-    for k in range(1, n + 1):
-        T = _gegenbauer_toeplitz(d, ell, _harmonic(2 * k)).matrix
-        lambdas[k - 1] = float(e @ T @ e)
-    return lambdas
+    family = _cell(d, ell, n) if n else ()
+    return np.array([float(e @ op.matrix @ e) for op in family])
 
 
 def slack(n: int, lambdas: np.ndarray) -> tuple[float, float]:
@@ -117,22 +115,19 @@ def _basis(d: int, max_degree: int) -> GegenbauerBasis:
     return GegenbauerBasis(d, max_degree)
 
 
-def _harmonic(k: int) -> tuple:
-    """Gegenbauer coefficients of the multiplier C_k/C_k(1)."""
-    return (0.0,) * k + (1.0,)
-
-
 @lru_cache(maxsize=4)
-def _gegenbauer_toeplitz(d: int, ell: int, h: tuple) -> toeplitz.ToeplitzOp:
-    """T[sum_k h_k C_k/C_k(1)] on the degree-ell window, built once and shared.
-
-    The matrix depends on the basis only through d, so any max_degree gives
-    the same bits; it is read-only because every caller shares it.  Four
-    entries hold one rate cell: rho_tilde's multiplier (C_2 itself for
-    n = 1) and T[C_{2k}] for k = 1..n, n <= 3."""
-    op = toeplitz.build(_cached_basis(d, ell + len(h) - 1), ell, h, kind="gegenbauer")
-    op.matrix.flags.writeable = False
-    return op
+def _cell(d: int, ell: int, n: int) -> tuple:
+    """The family T[C_{2k}/C_{2k}(1)], k = 1..n, on the degree-ell window,
+    built by one toeplitz.build call; rho_tilde, rho4 and kernel_lambdas of
+    one (d, ell, n) all read it.  The matrices depend on the basis only
+    through d, so any max_degree gives the same bits; they are read-only
+    because every caller shares them."""
+    H = np.zeros((n, 2 * n + 1))
+    H[np.arange(n), np.arange(2, 2 * n + 1, 2)] = 1.0
+    family = toeplitz.build(_cached_basis(d, ell + 2 * n), ell, H, kind="gegenbauer")
+    for op in family:
+        op.matrix.flags.writeable = False
+    return tuple(family)
 
 
 def rho2(d: int, ell: int) -> tuple[float, KernelSpec]:
@@ -151,9 +146,11 @@ def rho_tilde(d: int, ell: int, n: int) -> tuple[float, KernelSpec]:
     C_{2k}/C_{2k}(1), k = 1..n; always in [0, n]."""
     if n < 1 or ell < 1:
         raise ValueError("need n >= 1 and ell >= 1")
-    coeffs = np.zeros(2 * n + 1)
-    coeffs[2 : 2 * n + 1 : 2] = 1.0 / n
-    lam, vec = toeplitz.lambda_max(_gegenbauer_toeplitz(d, ell, tuple(coeffs.tolist())))
+    # T is linear in h, so T[h] is the mean of the cell's family
+    family = _cell(d, ell, n)
+    mean = toeplitz.ToeplitzOp(d, ell + 1, ("gegenbauer", (0.0,) + (0.0, 1.0 / n) * n),
+                               2 * n, np.mean([op.matrix for op in family], axis=0))
+    lam, vec = toeplitz.lambda_max(mean)
     spec = kernel_spec_from_e(d, ell, n, vec)
     spec.tilde = n - n * lam
     return spec.tilde, spec
@@ -186,8 +183,7 @@ def rho4(d: int, ell: int) -> tuple[float, KernelSpec]:
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    A_op = _gegenbauer_toeplitz(d, ell, _harmonic(2))
-    B_op = _gegenbauer_toeplitz(d, ell, _harmonic(4))
+    A_op, B_op = _cell(d, ell, 2)
     A, B = A_op.matrix, B_op.matrix
     w = B_op.bandwidth  # T[C_4]'s band holds T[C_2]'s
     A_band, B_band = toeplitz.upper_band(A, w), toeplitz.upper_band(B, w)

@@ -16,6 +16,9 @@ to C_k.  In particular T[C_{2k}] is the zero matrix for ell < k, so a sign
 test on its quadratic forms, or a banded solver, reads the structure rather
 than the rounding of the quadrature.
 
+build also takes a stack of multipliers, which share one Gauss rule and
+one table of orthonormal values.
+
 Every top eigenpair comes from one banded solver, top_eigenpair on the
 upper_band storage; lambda_max applies it to T[h] with the band of deg(h).
 """
@@ -48,7 +51,8 @@ def _trim(coeffs) -> np.ndarray:
     return coeffs[: nz[-1] + 1] if nz.size else coeffs[:1]
 
 
-def build(basis: GegenbauerBasis, ell: int, h, kind: str = "monomial") -> ToeplitzOp:
+def build(basis: GegenbauerBasis, ell: int, h,
+          kind: str = "monomial") -> ToeplitzOp | list[ToeplitzOp]:
     """Assemble T[h] for the multiplier h on the degree-(ell) window.
 
     h is a coefficient array: of powers of t when kind == "monomial", or of
@@ -57,40 +61,53 @@ def build(basis: GegenbauerBasis, ell: int, h, kind: str = "monomial") -> Toepli
     the wrong parity for a multiplier of one parity and, for kind ==
     "gegenbauer", entries with i + j below the lowest nonzero harmonic index
     are set to exact 0.0.
+
+    A 2-D h holds one multiplier per row (as polyval takes coefficient
+    columns) and gives a list of ToeplitzOps: the rows share one rule, exact
+    for the highest row degree, and one orthonormal_values table, whose low
+    rows give the Gegenbauer multiplier values; each row keeps its own band
+    and zeros.  A 1-D h is the one-row case and gives one ToeplitzOp.
     """
     if kind not in ("monomial", "gegenbauer"):
         raise ValueError(f"unknown multiplier kind {kind!r}")
     if ell < 0:
         raise ValueError("ell must be >= 0")
-    h = _trim(h)
-    deg_h = len(h) - 1
+    H = np.atleast_2d(np.asarray(h, dtype=float))
+    rows = [_trim(r) for r in H]
+    deg_h = max(len(r) for r in rows) - 1
+    H = H[:, : deg_h + 1]
     if ell + deg_h > basis.max_degree:
         raise ValueError(
             f"ell + deg(h) = {ell + deg_h} exceeds basis max_degree {basis.max_degree}"
         )
     node_count = math.ceil((2 * ell + deg_h + 1) / 2) + 2
     nodes, weights = basis.gauss_rule(node_count)
+    V = basis.orthonormal_values(nodes, max(ell, deg_h) if kind == "gegenbauer" else ell)
     if kind == "monomial":
-        hv = np.polynomial.polynomial.polyval(nodes, h)
+        hv = np.polynomial.polynomial.polyval(nodes, H.T)
     else:
-        hv = basis.gegenbauer_combination_values(h, nodes)
-    P = basis.orthonormal_values(nodes, ell)
-    M = (P * (weights * hv)) @ P.T
-    upper = np.tril(np.triu(M), deg_h)
-    nz = np.flatnonzero(h)
-    if nz.size and np.all(nz % 2 == nz[0] % 2):
-        # p_i p_j h is odd, so integrates to zero, when i + j has parity q.
-        q = 1 - nz[0] % 2
-        upper[0::2, q::2] = 0.0
-        upper[1::2, 1 - q::2] = 0.0
-    M = upper + np.triu(upper, 1).T
-    if kind == "gegenbauer":
-        lowest = int(nz[0]) if nz.size else 0
-        for i in range(min(lowest, ell + 1)):
-            M[i, : lowest - i] = 0.0
-    return ToeplitzOp(
-        d=basis.d, size=ell + 1, h_descriptor=(kind, tuple(h)), bandwidth=deg_h, matrix=M
-    )
+        hv = np.dot(H / np.sqrt(basis.endpoint_values[: deg_h + 1]), V[: deg_h + 1])
+    P = V[: ell + 1]
+    ops = []
+    for coeffs, values in zip(rows, hv):
+        deg = len(coeffs) - 1
+        M = (P * (weights * values)) @ P.T
+        upper = np.tril(np.triu(M), deg)
+        nz = np.flatnonzero(coeffs)
+        if nz.size and np.all(nz % 2 == nz[0] % 2):
+            # p_i p_j h is odd, so integrates to zero, when i + j has parity q.
+            q = 1 - nz[0] % 2
+            upper[0::2, q::2] = 0.0
+            upper[1::2, 1 - q::2] = 0.0
+        M = upper + np.triu(upper, 1).T
+        if kind == "gegenbauer":
+            lowest = int(nz[0]) if nz.size else 0
+            for i in range(min(lowest, ell + 1)):
+                M[i, : lowest - i] = 0.0
+        ops.append(ToeplitzOp(
+            d=basis.d, size=ell + 1, h_descriptor=(kind, tuple(coeffs)), bandwidth=deg, matrix=M
+        ))
+    return ops[0] if np.ndim(h) < 2 else ops
 
 
 def build_single_gegenbauer(basis: GegenbauerBasis, ell: int, k: int) -> ToeplitzOp:

@@ -1,18 +1,24 @@
-"""The benchmark's span targets name functions that exist.
+"""The benchmark's span targets name functions that exist and fire.
 
 bench/spans.py wraps library functions by module and attribute path, and
 reports a target it cannot find as missing rather than failing; each
 workload in bench/workloads.py lists the spans its traced run expects.
 These tests read both files, without writing bytecode next to them, so a
-renamed or deleted function cannot silently drop a traced layer.
+renamed or deleted function cannot silently drop a traced layer, and run
+one cycle of each workload under the tracer, so a code path that bypasses
+a traced function fails here rather than in the benchmark's traced run.
 """
 
+import contextlib
 import importlib
+import io
 import importlib.util
 import os
 import sys
 
 import pytest
+
+from spheresos import cli
 
 BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
@@ -52,3 +58,26 @@ def test_expected_spans_are_targets(targets, monkeypatch):
     for workload_name, workload in workloads.items():
         unknown = set(workload.expected_spans) - names
         assert not unknown, f"{workload_name} expects untraced spans {sorted(unknown)}"
+
+
+@pytest.mark.parametrize("name", ["rate_table", "certify_qsep"])
+def test_expected_spans_fire(name, tmp_path, monkeypatch):
+    # the benchmark's order: warm-up calls untraced, then a traced cycle
+    spans = _load("spans", monkeypatch)
+    workload = _load("workloads", monkeypatch).WORKLOADS[name]
+
+    def call(argv):
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            assert cli.main(argv) == 0, (argv, err.getvalue())
+
+    for argv in workload.warmup(str(tmp_path)):
+        call(argv)
+    items = workload.cycle(1, 0, str(tmp_path), "t")
+    with spans.Tracer() as tracer:
+        for item in items:
+            call(item.argv)
+    assert not tracer.missing
+    unfired = set(workload.expected_spans) - tracer.fired()
+    assert not unfired, f"{name}: expected spans never fired: {sorted(unfired)}"
+    for item in items:
+        assert item.check() is None, item.argv

@@ -91,11 +91,20 @@ def test_rho_table_deterministic_with_embedded_kernels(tmp_path):
         value = row["rho2"] if row["n"] == 1 else row["rho4"]
         lambdas = np.asarray(kernel["lambdas"])
         assert np.sum(np.abs(1.0 / lambdas - 1.0)) == pytest.approx(value, rel=1e-12)
-    # ell = 1 cannot reach the 4th harmonic: rho4 is inf and there is no kernel
+    # ell = 1 cannot reach the 4th harmonic: rho4 is inf, written as null in
+    # strict JSON, and there is no kernel
     assert main(["rho-table", "--d", "3", "--ell", "1", "--n", "2", "--format", "json",
                  "--out", str(a)]) == 0
-    (row,) = json.loads(a.read_text())["rows"]
-    assert row["rho4"] == math.inf and row["kernel"] is None
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    (row,) = json.loads(a.read_text(), parse_constant=reject)["rows"]
+    assert row["rho4"] is None and row["rho_bound"] is None and row["kernel"] is None
+    # the CSV keeps its inf
+    assert main(["rho-table", "--d", "3", "--ell", "1", "--n", "2", "--out", str(a)]) == 0
+    (row,) = _read_csv(a.read_text())
+    assert float(row["rho4"]) == math.inf and float(row["rho_bound"]) == math.inf
 
 
 def test_rho_table_json_solves_each_kernel_once(tmp_path, monkeypatch):

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 from numpy.polynomial import legendre
+from scipy.linalg import eigh_tridiagonal
 
 from spheresos.certificate import sphere_quadrature
-from spheresos.gegenbauer import GegenbauerBasis, harmonic_dim, weight_ratio
+from spheresos.gegenbauer import GegenbauerBasis, _offdiagonal, harmonic_dim, weight_ratio
 from spheresos.harmonic import decompose
 from spheresos.poly import Poly, sample_sphere_array
 
@@ -123,6 +124,26 @@ def test_gauss_rule_probability_and_moment():
             assert weights.sum() == pytest.approx(1.0, abs=1e-13)
             if m >= 2:
                 assert (weights * nodes**2).sum() == pytest.approx(1.0 / d, abs=1e-13)
+
+
+def test_gauss_rule_cached_read_only():
+    # one rule per (d, node_count), bit-identical to a fresh Golub-Welsch
+    # solve, read-only, and shared by every basis of that d
+    for d in (2, 3, 8):
+        for m in (1, 2, 17, 45):
+            nodes, weights = GegenbauerBasis(d, 3).gauss_rule(m)
+            if m == 1:
+                ref_nodes, ref_weights = np.zeros(1), np.ones(1)
+            else:
+                ref_nodes, vecs = eigh_tridiagonal(np.zeros(m), _offdiagonal(d, m - 1))
+                ref_weights = vecs[0, :] ** 2
+            assert nodes.tobytes() == ref_nodes.tobytes(), (d, m)
+            assert weights.tobytes() == ref_weights.tobytes(), (d, m)
+            for arr in (nodes, weights):
+                with pytest.raises(ValueError):
+                    arr[0] = 0.5
+            again = GegenbauerBasis(d, 40).gauss_rule(m)
+            assert again[0] is nodes and again[1] is weights
 
 
 def test_orthonormality_matrix():

@@ -208,14 +208,38 @@ def test_banded_top_eigenpair_matches_dense(monkeypatch):
 
 
 def test_cached_toeplitz_is_fresh_build_and_read_only():
-    for d, ell, k in ((2, 3, 4), (3, 12, 2), (5, 30, 6), (8, 80, 4)):
-        op = rho_mod._gegenbauer_toeplitz(d, ell, rho_mod._harmonic(k))
-        fresh = tz.build_single_gegenbauer(GegenbauerBasis(d, ell + k), ell, k)
-        assert np.array_equal(op.matrix, fresh.matrix), (d, ell, k)
-        with pytest.raises(ValueError):
-            op.matrix[0, 0] = 1.0
+    # a rate cell's family T[C_2k/C_2k(1)], k = 1..n, is one stacked build
+    for d, ell, n in ((2, 3, 2), (3, 12, 1), (5, 30, 3), (8, 80, 2)):
+        family = rho_mod._cell(d, ell, n)
+        H = np.zeros((n, 2 * n + 1))
+        for k in range(1, n + 1):
+            H[k - 1, 2 * k] = 1.0
+        fresh = tz.build(GegenbauerBasis(d, ell + 2 * n), ell, H, kind="gegenbauer")
+        assert len(family) == len(fresh) == n
+        for op, ref in zip(family, fresh):
+            assert np.array_equal(op.matrix, ref.matrix), (d, ell, n)
+            assert op.bandwidth == ref.bandwidth
+            with pytest.raises(ValueError):
+                op.matrix[0, 0] = 1.0
     # bases are shared between max_degrees of one power-of-two block
     assert rho_mod._cached_basis(3, 5) is rho_mod._cached_basis(3, 8)
+
+
+def test_rate_table_builds_each_cell_once(monkeypatch):
+    # one stacked toeplitz.build per (d, ell, n) cell serves rho_tilde, rho4
+    # and kernel_lambdas alike
+    calls = []
+    build = tz.build
+
+    def counting(basis, ell, h, kind="monomial"):
+        calls.append((basis.d, ell, np.shape(h)))
+        return build(basis, ell, h, kind)
+
+    monkeypatch.setattr(tz, "build", counting)
+    rho_mod._cell.cache_clear()
+    rate_table([4], [1, 7, 11], [1, 2, 3])
+    cells = [(4, ell, (n, 2 * n + 1)) for ell in (1, 7, 11) for n in (1, 2, 3)]
+    assert sorted(calls) == sorted(cells)
 
 
 def test_rate_table_solves_each_n1_cell_once(monkeypatch):

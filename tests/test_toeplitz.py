@@ -181,6 +181,42 @@ def test_band_and_parity_structural_zero():
                     assert np.all(T[odd] == 0), (d, ell, kind, h)
 
 
+def test_stacked_build_matches_rows():
+    # a 2-D h builds one matrix per row on one shared rule: each equals the
+    # row's own 1-D build up to the quadrature's rounding and keeps the row's
+    # exact band, parity and i + j < lowest-harmonic zeros
+    stacks = {
+        "gegenbauer": [[0, 0, 1], [0, 0, 0, 0, 1], [0, 0, 0, 0, 0, 0, 1],
+                       [1, 0, 0.5], [0, 1, 0.5], [0, 1]],
+        "monomial": [[0, 1], [0, 0, 1], [1, 0, 0, 1], [0.5, -0.2, 1, 0.3]],
+    }
+    for d in (2, 3, 8):
+        for ell in (1, 5, 40, 80):
+            basis = GegenbauerBasis(d, ell + 6)
+            i, j = np.indices((ell + 1, ell + 1))
+            for kind, rows in stacks.items():
+                H = np.zeros((len(rows), 7))
+                for r, h in zip(H, rows):
+                    r[: len(h)] = h
+                ops = tz.build(basis, ell, H, kind=kind)
+                assert len(ops) == len(rows)
+                for op, h in zip(ops, rows):
+                    key = (d, ell, kind, h)
+                    ref = tz.build(basis, ell, h, kind=kind)
+                    T = op.matrix
+                    assert op.bandwidth == ref.bandwidth == len(h) - 1, key
+                    assert op.h_descriptor == ref.h_descriptor, key
+                    assert np.abs(T - ref.matrix).max() <= 1e-13 * np.abs(ref.matrix).max(), key
+                    assert np.array_equal(T, T.T), key
+                    assert np.all(T[np.abs(i - j) > op.bandwidth] == 0), key
+                    nz = [k for k, c in enumerate(h) if c]
+                    if len({k % 2 for k in nz}) == 1:
+                        assert np.all(T[(i + j + nz[0]) % 2 == 1] == 0), key
+                    if kind == "gegenbauer":
+                        assert np.all(T[i + j < nz[0]] == 0), key
+                    assert np.array_equal(T == 0, ref.matrix == 0), key
+
+
 def test_order_preservation():
     # h1 >= h2 pointwise implies lambda_max(T[h1]) >= lambda_max(T[h2])
     rng = np.random.default_rng(1)
