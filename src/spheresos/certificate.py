@@ -12,8 +12,10 @@ coefficients plus a multistart positivity search on the witness; the range
 normalization of the original input is recorded so callers can undo it.
 
 Construction and verification share one computation of the targets (the
-harmonic parts of G + delta), and scalar and matrix inputs take the same
-path: only the identity embedding |x|^{2n} (times I) depends on the type.
+harmonic parts of G + delta) and one set of checks, so a build decomposes
+its input once and checks the targets it has just built.  Scalar and matrix
+inputs take the same path: only the identity embedding |x|^{2n} (times I)
+depends on the type.
 The kernel comes from rho.kernel_for and every (rho, delta) pair from
 rho.slack, so construction, reloading and the margin check agree.
 """
@@ -32,6 +34,14 @@ from .rho import DegenerateKernelError, KernelSpec, kernel_for, kernel_lambdas, 
 
 class KernelInversionError(ValueError):
     """The kernel has a non-positive eigenvalue on a needed harmonic order."""
+
+
+# Fixed thresholds of the kernel, Funk-Hecke and margin checks; the witness
+# tolerance is the one a caller may loosen (the CLI's --tol).
+TOL_LAMBDA = 1e-10
+TOL_FUNK_HECKE = 1e-9
+TOL_WITNESS = 1e-8
+TOL_MARGIN = 1e-10
 
 
 @dataclass
@@ -83,13 +93,6 @@ class Certificate:
     H: HarmonicDecomp
     verification: VerificationReport | None = None
 
-    @property
-    def matrix(self) -> bool:
-        return self.H.matrix
-
-    def witness_polynomial(self):
-        return self.H.reconstruct()
-
     def certified_upper_bound(self) -> float:
         """Upper bound on the original input implied by the certificate:
         m + (M - m) (1 + delta)."""
@@ -140,15 +143,14 @@ def _identity_like(F, degree: int, value: float):
 
 def _targets(F, normalization: tuple[float, float], delta: float):
     """What a witness must reproduce: G = (F - m|x|^{2n}) / (M - m) (F itself
-    at degree 0), its decomposition, and the harmonic parts of G + delta.
+    at degree 0) and the harmonic parts of G + delta.
 
     A valid witness has lambda_{2k} H_{2k} equal to part k of G + delta."""
     m, M = normalization
     G = F if F.degree == 0 else (F - _identity_like(F, F.degree, m)) * (1.0 / (M - m))
-    decomp = decompose(G)
-    parts = list(decomp.parts)
+    parts = list(decompose(G).parts)
     parts[0] = parts[0] + _identity_like(G, 0, delta)
-    return G, decomp, parts
+    return G, parts
 
 
 def build_certificate(
@@ -167,9 +169,10 @@ def build_certificate(
     A constant (n = 0) takes the constant kernel q = 1 and is certified as
     F + delta with normalization (0, 1); an input constant on the sphere is
     normalized by (m, m + 1).  The returned certificate targets the
-    normalized G in [0, 1]; on witness positivity failure it is returned
-    with verification.passed False rather than raising (user-supplied
-    slacks may legitimately fail)."""
+    normalized G in [0, 1] and carries the report of the checks
+    verify_certificate runs, made on the targets just built; on witness
+    positivity failure it is returned with verification.passed False rather
+    than raising (user-supplied slacks may legitimately fail)."""
     if F.degree % 2 != 0:
         raise ValueError("input degree must be even")
     if ell < 1:
@@ -201,13 +204,11 @@ def build_certificate(
     if delta is None:
         delta = spec.delta
 
-    _, decomp, parts = _targets(F, normalization, delta)
-    for k in range(1, n + 1):
-        parts[k] = parts[k] * (1.0 / spec.lambdas[k - 1])
-    H = HarmonicDecomp(n=n, parts=parts, matrix=decomp.matrix, residual=decomp.residual)
-
+    G, targets = _targets(F, normalization, delta)
+    parts = [t if k == 0 else t * (1.0 / spec.lambdas[k - 1]) for k, t in enumerate(targets)]
+    H = HarmonicDecomp(n=n, parts=parts, matrix=isinstance(F, MatPoly))
     cert = Certificate(spec=spec, delta=delta, normalization=normalization, H=H)
-    cert.verification = verify_certificate(F, cert, restarts=restarts, seed=seed)
+    cert.verification = _check(cert, G, targets, restarts, seed, TOL_WITNESS)
     return cert
 
 
@@ -216,10 +217,7 @@ def verify_certificate(
     cert: Certificate,
     restarts: int = 64,
     seed: int = 0,
-    tol_lambda: float = 1e-10,
-    tol_funk_hecke: float = 1e-9,
-    tol_witness: float = 1e-8,
-    tol_margin: float = 1e-10,
+    tol_witness: float = TOL_WITNESS,
 ) -> VerificationReport:
     """Re-check a certificate against the input it claims to certify.
 
@@ -227,13 +225,22 @@ def verify_certificate(
     the Toeplitz matrices; the diagonal (Funk-Hecke) action matching the
     harmonic parts of the normalized input coefficient-wise; multistart
     positivity of the witness; and the slack margin
-    delta - (B_{2n}/2) sum |1/lambda_{2k} - 1| >= 0.  Report-only."""
-    spec = cert.spec
-    if F.d != spec.d:
+    delta - (B_{2n}/2) sum |1/lambda_{2k} - 1| >= 0.  The targets are derived
+    from the stored normalization and slack.  Report-only."""
+    if F.d != cert.spec.d:
         raise ValueError("dimension mismatch between input and certificate")
-    n = F.degree // 2
-    if n != cert.H.n:
+    if F.degree // 2 != cert.H.n:
         raise ValueError("degree mismatch between input and certificate")
+    G, targets = _targets(F, cert.normalization, cert.delta)
+    return _check(cert, G, targets, restarts, seed, tol_witness)
+
+
+def _check(cert: Certificate, G, targets: list, restarts: int, seed: int,
+           tol_witness: float) -> VerificationReport:
+    """The four checks of verify_certificate, given the normalized input G
+    and the harmonic parts of G + delta."""
+    spec = cert.spec
+    n = cert.H.n
     notes = []
 
     e_norm_err = abs(float(np.linalg.norm(spec.e)) - 1.0)
@@ -241,16 +248,15 @@ def verify_certificate(
     if n >= 1:
         lambdas = kernel_lambdas(spec.d, spec.ell, n, spec.e)
         lam_err = float(np.max(np.abs(lambdas - spec.lambdas)))
-    kernel_ok = e_norm_err <= tol_lambda and lam_err <= tol_lambda
+    kernel_ok = e_norm_err <= TOL_LAMBDA and lam_err <= TOL_LAMBDA
 
-    G, _, targets = _targets(F, cert.normalization, cert.delta)
     scale = max(G.max_abs_coef(), 1.0)
     fh_resid = 0.0
     for k, target in enumerate(targets):
         lam_k = 1.0 if k == 0 else float(spec.lambdas[k - 1])
         diff = (lam_k * cert.H.parts[k]) - target
         fh_resid = max(fh_resid, diff.max_abs_coef() / scale)
-    funk_hecke_ok = fh_resid <= tol_funk_hecke
+    funk_hecke_ok = fh_resid <= TOL_FUNK_HECKE
 
     witness = cert.H.reconstruct()
     est = sup_norm_sphere(witness, restarts=restarts, seed=seed)
@@ -262,7 +268,7 @@ def verify_certificate(
         )
 
     margin = cert.delta - slack(n, spec.lambdas)[1]
-    margin_ok = margin >= -tol_margin
+    margin_ok = margin >= -TOL_MARGIN
 
     if spec.skipped_directions:
         notes.append(f"{spec.skipped_directions} kernel directions skipped")

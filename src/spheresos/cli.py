@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -228,7 +229,10 @@ def _cmd_basis_debug(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing keeps no state
+    in it)."""
     parser = argparse.ArgumentParser(
         prog="spheresos",
         description="Sum-of-squares certificates on the sphere: rate tables, "
@@ -238,7 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--jobs", type=int, default=None,
                         help="accepted for compatibility and ignored: grid sweeps run serially")
     parser.add_argument("--tol", type=float, default=None,
-                        help="override the witness-positivity / margin tolerance")
+                        help="override the witness-positivity tolerance of certify and "
+                        "verify (the other checks keep fixed thresholds) and the "
+                        "tolerance of qsep --check-extension")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("rho-table", help="rate quantities over a (d, ell, n) grid")
@@ -285,8 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except _InputError as exc:

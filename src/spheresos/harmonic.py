@@ -90,7 +90,6 @@ class HarmonicDecomp:
             n=int(data["n"]),
             parts=[maker(p) for p in data["parts"]],
             matrix=matrix,
-            residual=float(data.get("residual", 0.0)),
         )
 
 

@@ -391,10 +391,6 @@ class MatPoly:
         self._arrays = None
 
     @classmethod
-    def zero(cls, d: int, k: int, degree: int) -> "MatPoly":
-        return cls(d, k, degree, {})
-
-    @classmethod
     def identity(cls, d: int, k: int, degree: int, scale: float = 1.0) -> "MatPoly":
         """scale * |x|^degree * I as a homogeneous MatPoly (degree even)."""
         if degree % 2 != 0:

@@ -110,6 +110,15 @@ def test_certificate_constant_edge_case():
     assert cert.verification.passed
 
 
+def test_certificate_constant_on_sphere():
+    # |x|^4 is 1 on the sphere: the range collapses, so the input is
+    # normalized by (m, m + 1) and only the slack is left to certify
+    cert = build_certificate(Poly.constant(3, 1.0).mul_norm_power(2), ell=8)
+    assert cert.normalization == pytest.approx((1.0, 2.0), abs=1e-12)
+    assert cert.normalization[1] - cert.normalization[0] == 1.0
+    assert cert.verification.passed
+
+
 def test_certificate_rejects_bad_ell():
     # ell is checked before the degree-0 shortcut, so a constant input gets
     # the same message as a quartic
@@ -250,10 +259,12 @@ def test_wrong_dimension_rejected():
 
 
 def test_kernel_unreachable_harmonics():
-    # ell = 1 cannot certify a quartic: lambda_4 = 0
+    # ell = 1 cannot certify a quartic (no rho4 kernel exists), and ell = 2
+    # not a sextic: its surrogate kernel has lambda_6 exactly 0
     rng = np.random.default_rng(9)
-    with pytest.raises(KernelInversionError):
-        build_certificate(rand_homog(3, 4, rng), ell=1)
+    for degree, ell in ((4, 1), (6, 2)):
+        with pytest.raises(KernelInversionError):
+            build_certificate(rand_homog(3, degree, rng), ell=ell)
 
 
 def test_degree_six_surrogate_kernel():

@@ -171,6 +171,23 @@ def test_tolerance_override_flag(tmp_path, quartic_file):
     assert rc == 0
 
 
+def test_certify_tolerance_override(tmp_path, quartic_file):
+    # --tol reaches certify's own report: an underfunded slack leaves a
+    # witness minimum near -0.03, which fails the default tolerance but not
+    # 0.1; the margin check keeps its fixed threshold, so both runs exit 2
+    path, _ = quartic_file
+    checks = {}
+    for tol in (None, "0.1"):
+        out = tmp_path / f"cert_{tol}.json"
+        argv = ["certify", "--input", str(path), "--ell", "12", "--delta", "1e-6",
+                "--out", str(out)]
+        assert main(argv if tol is None else ["--tol", tol, *argv]) == 2
+        checks[tol] = json.loads(out.read_text())["certificate"]["verification"]["checks"]
+    assert checks[None]["witness_positive"] is False
+    assert checks["0.1"]["witness_positive"] is True
+    assert checks["0.1"]["margin"] is False
+
+
 def test_certify_missing_file_exits_1(tmp_path, capsys):
     rc = main(["certify", "--input", str(tmp_path / "nope.json"), "--ell", "4"])
     assert rc == 1

@@ -267,7 +267,7 @@ def test_hermitian_form_is_real():
 
 
 def test_gap_slack_monotone_in_gamma():
-    # the escalation loop in the gap certificate relies on this: a slack
+    # the gamma bisection in the gap certificate relies on this: a slack
     # below h_Sep fails witness positivity, one above verifies
     from spheresos.certificate import build_certificate
     from spheresos.poly import MatPoly
@@ -336,6 +336,62 @@ def test_bss_gap_maxent_contains_true_value():
     assert out["cert"].verification.passed
     assert out["h_lower"] - 1e-6 <= 0.5 <= out["h_certified_upper"] + 1e-6
     assert out["h_lower"] <= out["h_certified_upper"]
+
+
+def _underestimated_hsep(monkeypatch, factor):
+    # scale every hsep_lower value; block_positivity_min's call on -M still
+    # returns 0 for a PSD M
+    from spheresos import quantum
+
+    true_lower = quantum.hsep_lower
+
+    def lower(M, restarts=32, seed=0):
+        val, x, y = true_lower(M, restarts=restarts, seed=seed)
+        return factor * val, x, y
+
+    monkeypatch.setattr(quantum, "hsep_lower", lower)
+
+
+def _record_attempts(monkeypatch, fail_all=False):
+    from spheresos import quantum
+
+    passed = []
+    build = quantum.build_certificate
+
+    def attempt(*args, **kwargs):
+        cert = build(*args, **kwargs)
+        if fail_all:
+            cert.verification.passed = False
+        passed.append(cert.verification.passed)
+        return cert
+
+    monkeypatch.setattr(quantum, "build_certificate", attempt)
+    return passed
+
+
+def test_bss_gap_bisects_below_lambda_max(monkeypatch):
+    # h_lower at 0.8 h_Sep = 0.4 makes the first gamma fail; the bisection
+    # between it and lambda_max(M) = 1 finds a passing gamma
+    _underestimated_hsep(monkeypatch, 0.8)
+    passed = _record_attempts(monkeypatch)
+    out = bss_gap_certificate(_maxent(2), ell=16, restarts=8, seed=0)
+    assert out["h_lower"] == pytest.approx(0.4)
+    # the first gamma, the lambda_max end, then 30 bisection steps
+    assert len(passed) == 32 and passed[:2] == [False, True]
+    assert out["cert"].verification.passed
+    assert out["h_lower"] * (1 + 1e-6) < out["gamma"] <= 1.0
+    assert out["h_certified_upper"] >= 0.5
+
+
+def test_bss_gap_failed_bracket_end_returns_failed_certificate(monkeypatch):
+    # when even gamma = lambda_max(M) fails, the failed certificate comes
+    # back instead of an exception
+    _underestimated_hsep(monkeypatch, 0.8)
+    passed = _record_attempts(monkeypatch, fail_all=True)
+    out = bss_gap_certificate(_maxent(2), ell=8, restarts=4, seed=0)
+    assert passed == [False, False]
+    assert not out["cert"].verification.passed
+    assert out["gamma"] == pytest.approx(1.0)
 
 
 def test_bss_gap_identity_trivial():
