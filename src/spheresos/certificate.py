@@ -14,8 +14,8 @@ normalization of the original input is recorded so callers can undo it.
 Construction and verification share one computation of the targets (the
 harmonic parts of G + delta) and one set of checks, so a build decomposes
 its input once and checks the targets it has just built.  Scalar and matrix
-inputs take the same path: only the identity embedding |x|^{2n} (times I)
-depends on the type.
+inputs take the same path: the identity embedding |x|^{2n} (times I for a
+matrix) is the input's own identity_like.
 The kernel comes from rho.kernel_for and every (rho, delta) pair from
 rho.slack, so construction, reloading and the margin check agree.
 """
@@ -134,22 +134,15 @@ class Certificate:
             raise ValueError(f"malformed certificate JSON: {exc}") from exc
 
 
-def _identity_like(F, degree: int, value: float):
-    # value * |x|^degree, times I when F is matrix-valued.
-    if isinstance(F, MatPoly):
-        return MatPoly.identity(F.d, F.k, degree, value)
-    return Poly.constant(F.d, value).mul_norm_power(degree // 2)
-
-
 def _targets(F, normalization: tuple[float, float], delta: float):
     """What a witness must reproduce: G = (F - m|x|^{2n}) / (M - m) (F itself
     at degree 0) and the harmonic parts of G + delta.
 
     A valid witness has lambda_{2k} H_{2k} equal to part k of G + delta."""
     m, M = normalization
-    G = F if F.degree == 0 else (F - _identity_like(F, F.degree, m)) * (1.0 / (M - m))
+    G = F if F.degree == 0 else (F - F.identity_like(F.degree, m)) * (1.0 / (M - m))
     parts = list(decompose(G).parts)
-    parts[0] = parts[0] + _identity_like(G, 0, delta)
+    parts[0] = parts[0] + G.identity_like(0, delta)
     return G, parts
 
 
@@ -206,7 +199,7 @@ def build_certificate(
 
     G, targets = _targets(F, normalization, delta)
     parts = [t if k == 0 else t * (1.0 / spec.lambdas[k - 1]) for k, t in enumerate(targets)]
-    H = HarmonicDecomp(n=n, parts=parts, matrix=isinstance(F, MatPoly))
+    H = HarmonicDecomp(n=n, parts=parts)
     cert = Certificate(spec=spec, delta=delta, normalization=normalization, H=H)
     cert.verification = _check(cert, G, targets, restarts, seed, TOL_WITNESS)
     return cert
@@ -302,13 +295,10 @@ def reznick_lambdas(d: int, ell: int, max_k: int) -> np.ndarray:
         raise ValueError("kernel degree 2*ell too small for requested harmonics")
     basis = GegenbauerBasis(d, 2 * max_k)
     nodes, weights = basis.gauss_rule(ell + max_k + 3)
-    phi = nodes ** (2 * ell)
-    out = np.empty(max_k + 1)
-    for k in range(max_k + 1):
-        coeffs = np.zeros(2 * k + 1)
-        coeffs[2 * k] = 1.0
-        ck = basis.gegenbauer_combination_values(coeffs, nodes)
-        out[k] = float(np.sum(weights * phi * ck))
+    # C_{2k}/C_{2k}(1) at the nodes, every even order from one table
+    scale = 1.0 / np.sqrt(basis.endpoint_values[0::2, None])
+    ck = basis.orthonormal_values(nodes)[0::2] * scale
+    out = np.sum(weights * nodes ** (2 * ell) * ck, axis=1)
     return out / out[0]
 
 

@@ -7,7 +7,9 @@ basis-debug (Gegenbauer recurrence and quadrature dumps).
 
 Exit codes: 0 success, 1 input or usage error, 2 computed but failed
 verification.  Primary artifacts are byte-deterministic for a fixed config;
-timestamps go to a ``<out>.meta.json`` sidecar.
+timestamps go to a ``<out>.meta.json`` sidecar, with every parsed setting.
+A polynomial JSON is scalar or matrix-valued by its own keys (poly.from_dict);
+``--matrix`` is accepted for compatibility and ignored.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import time
 from . import certificate as cert_mod
 from . import quantum as q_mod
 from . import rho as rho_mod
-from .poly import MatPoly, Poly
+from . import poly as poly_mod
 
 _MAX_DEGREE_ENV = "SPHERESOS_MAX_DEGREE"
 
@@ -79,14 +81,17 @@ def _load_json(path: str) -> dict:
         )
 
 
-def _write_artifact(path: str | None, text: str, config: dict):
-    if path is None:
+def _write_artifact(args, text: str):
+    """Write text to args.out (stdout without one) and, beside it, the
+    ``.meta.json`` sidecar with the time and every parsed setting."""
+    if args.out is None:
         sys.stdout.write(text)
         return
-    with open(path, "w") as fh:
+    with open(args.out, "w") as fh:
         fh.write(text)
+    config = {k: v for k, v in vars(args).items() if k != "func"}
     meta = {"written_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"), "config": config}
-    with open(path + ".meta.json", "w") as fh:
+    with open(args.out + ".meta.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -107,8 +112,6 @@ def _cmd_rho_table(args) -> int:
         _check_cap(max(ells) + 2 * max(n_list))
         rows.extend(rho_mod.rate_table([d], ells, n_list))
     rows.sort(key=lambda r: (r["d"], r["ell"], r["n"]))
-    config = {"command": "rho-table", "seed": args.seed, "d": args.d,
-              "ell": args.ell, "ell_mult": args.ell_mult, "n": args.n}
     if args.format == "csv":
         buf = io.StringIO()
         buf.write(f"# seed={args.seed}\n")
@@ -122,7 +125,7 @@ def _cmd_rho_table(args) -> int:
                 repr(r["rho_tilde"]),
                 "" if r["rho_bound"] is None else repr(r["rho_bound"]),
             ])
-        _write_artifact(args.out, buf.getvalue(), config)
+        _write_artifact(args, buf.getvalue())
     else:
         specs = []
         for r in rows:
@@ -134,21 +137,12 @@ def _cmd_rho_table(args) -> int:
                 "kernel": None if spec is None else {
                     "e": list(map(float, spec.e)), "lambdas": list(map(float, spec.lambdas))},
             })
-        _write_artifact(args.out, _json_text({"seed": args.seed, "rows": specs}, allow_nan=False),
-                        config)
+        _write_artifact(args, _json_text({"seed": args.seed, "rows": specs}, allow_nan=False))
     return 0
 
 
-def _load_polynomial(path: str, matrix: bool):
-    data = _load_json(path)
-    try:
-        return MatPoly.from_dict(data) if matrix else Poly.from_dict(data)
-    except ValueError as exc:
-        raise _InputError(str(exc))
-
-
 def _cmd_certify(args) -> int:
-    F = _load_polynomial(args.input, args.matrix)
+    F = poly_mod.from_dict(_load_json(args.input))
     _check_cap(args.ell + F.degree)
     cert = cert_mod.build_certificate(
         F, ell=args.ell, delta=args.delta, restarts=args.restarts, seed=args.seed
@@ -158,9 +152,7 @@ def _cmd_certify(args) -> int:
             F, cert, restarts=args.restarts, seed=args.seed, tol_witness=args.tol
         )
     payload = {"seed": args.seed, "ell": args.ell, "certificate": cert.to_dict()}
-    config = {"command": "certify", "input": args.input, "ell": args.ell,
-              "seed": args.seed, "matrix": args.matrix, "delta": args.delta}
-    _write_artifact(args.out, _json_text(payload), config)
+    _write_artifact(args, _json_text(payload))
     rep = cert.verification
     print(
         f"certify: n={cert.spec.n} ell={cert.spec.ell} delta={cert.delta:.6g} "
@@ -172,13 +164,13 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    F = _load_polynomial(args.input, args.matrix)
+    F = poly_mod.from_dict(_load_json(args.input))
     payload = _load_json(args.cert)
     cert = cert_mod.Certificate.from_dict(payload.get("certificate", payload))
     kwargs = {} if args.tol is None else {"tol_witness": args.tol}
     rep = cert_mod.verify_certificate(F, cert, restarts=args.restarts, seed=args.seed, **kwargs)
     text = _json_text({"seed": args.seed, "verification": rep.to_dict()})
-    _write_artifact(args.out, text, {"command": "verify", "seed": args.seed})
+    _write_artifact(args, text)
     return 0 if rep.passed else 2
 
 
@@ -188,8 +180,7 @@ def _cmd_qsep(args) -> int:
         rho = q_mod.QOperator.from_dict(_load_json(args.check_extension[1]))
         kwargs = {} if args.tol is None else {"tol": args.tol}
         report = q_mod.check_dps_conditions(ext, rho, **kwargs)
-        _write_artifact(args.out, _json_text({"seed": args.seed, "report": report}),
-                        {"command": "qsep-check-extension", "seed": args.seed})
+        _write_artifact(args, _json_text({"seed": args.seed, "report": report}))
         return 0 if report["passed"] else 2
     if args.op is None:
         raise _InputError("qsep requires --op or --check-extension")
@@ -203,8 +194,7 @@ def _cmd_qsep(args) -> int:
         "gamma": out["gamma"],
         "certificate": out["cert"].to_dict(),
     }
-    _write_artifact(args.out, _json_text(payload),
-                    {"command": "qsep", "op": args.op, "ell": args.ell, "seed": args.seed})
+    _write_artifact(args, _json_text(payload))
     return 0 if out["cert"].verification.passed else 2
 
 
@@ -224,8 +214,7 @@ def _cmd_basis_debug(args) -> int:
         "gauss_weights": weights.tolist(),
         "seed": args.seed,
     }
-    _write_artifact(args.out, _json_text(payload),
-                    {"command": "basis-debug", "d": args.d, "seed": args.seed})
+    _write_artifact(args, _json_text(payload))
     return 0
 
 
@@ -259,7 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="build a certificate for a polynomial JSON file")
     p.add_argument("--input", required=True)
     p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--matrix", action="store_true", help="input is a matrix polynomial")
+    p.add_argument("--matrix", action="store_true",
+                   help="accepted for compatibility and ignored: a matrix polynomial "
+                   "is recognized by the \"entries\" key of its JSON")
     p.add_argument("--delta", type=float, default=None, help="override the theorem slack")
     p.add_argument("--restarts", type=int, default=64)
     p.add_argument("--out", default=None)
@@ -268,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="re-verify a certificate against its input")
     p.add_argument("--input", required=True)
     p.add_argument("--cert", required=True)
-    p.add_argument("--matrix", action="store_true")
+    p.add_argument("--matrix", action="store_true", help="accepted and ignored, as for certify")
     p.add_argument("--restarts", type=int, default=64)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_verify)
@@ -294,10 +285,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (_InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

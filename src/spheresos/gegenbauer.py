@@ -140,13 +140,3 @@ class GegenbauerBasis:
         if node_count < 1:
             raise ValueError("node_count must be >= 1")
         return _gauss_rule(self.d, node_count)
-
-    def gegenbauer_combination_values(self, coeffs, t) -> np.ndarray:
-        """Evaluate sum_k coeffs[k] * C_k(t)/C_k(1) at the given t values."""
-        coeffs = np.asarray(coeffs, dtype=float)
-        kmax = len(coeffs) - 1
-        if kmax > self.max_degree:
-            raise ValueError("combination degree exceeds basis max_degree")
-        vals = self.orthonormal_values(t, kmax)
-        scale = coeffs / np.sqrt(self.endpoint_values[: kmax + 1])
-        return np.tensordot(scale, vals, axes=(0, 0))

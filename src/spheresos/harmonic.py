@@ -8,7 +8,9 @@ drops the |x| power, which yields a triangular system solved by
 back-substitution.  Scalar and matrix polynomials share the Laplacian,
 |x|^2 multiplication and linear combinations used here, so one function
 decomposes both (a matrix polynomial entry by entry, through the same
-operations).
+operations).  Whether a decomposition is matrix-valued is read from its
+parts, and its JSON parts reload through poly.from_dict, which tells the
+two apart by their own keys.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .poly import MatPoly, Poly
+from .poly import MatPoly, Poly, from_dict
 
 
 def _falling(a: float, m: int) -> float:
@@ -64,8 +66,12 @@ class HarmonicDecomp:
 
     n: int
     parts: list = field(repr=False)
-    matrix: bool = False
     residual: float = 0.0
+
+    @property
+    def matrix(self) -> bool:
+        """Whether the parts are matrix polynomials."""
+        return isinstance(self.parts[0], MatPoly)
 
     def reconstruct(self):
         """Sum of |x|^(2(n-k)) f_{2k}; equals the decomposed input."""
@@ -84,13 +90,8 @@ class HarmonicDecomp:
 
     @classmethod
     def from_dict(cls, data: dict) -> "HarmonicDecomp":
-        matrix = bool(data.get("matrix", False))
-        maker = MatPoly.from_dict if matrix else Poly.from_dict
-        return cls(
-            n=int(data["n"]),
-            parts=[maker(p) for p in data["parts"]],
-            matrix=matrix,
-        )
+        # The "matrix" key is derived from the parts and not read back.
+        return cls(n=int(data["n"]), parts=[from_dict(p) for p in data["parts"]])
 
 
 def decompose(f: Poly | MatPoly) -> HarmonicDecomp:
@@ -109,7 +110,7 @@ def decompose(f: Poly | MatPoly) -> HarmonicDecomp:
         for k in range(j):
             acc = acc - r_coefficient(n, f.d, m, k) * parts[k].mul_norm_power(j - k)
         parts[j] = acc * (1.0 / r_coefficient(n, f.d, m, j))
-    decomp = HarmonicDecomp(n=n, parts=parts, matrix=isinstance(f, MatPoly))
+    decomp = HarmonicDecomp(n=n, parts=parts)
     scale = max(f.max_abs_coef(), 1.0)
     decomp.residual = (decomp.reconstruct() - f).max_abs_coef() / scale
     return decomp

@@ -214,6 +214,10 @@ class Poly:
         exps = tuple(int(e) for e in exps)
         return cls(d, sum(exps), {exps: coef})
 
+    def identity_like(self, degree: int, value: float) -> "Poly":
+        """value * |x|^degree (degree even), the scalar identity embedding."""
+        return Poly.constant(self.d, value).mul_norm_power(degree // 2)
+
     @classmethod
     def norm_squared(cls, d: int) -> "Poly":
         terms = {}
@@ -398,6 +402,10 @@ class MatPoly:
         base = Poly.constant(d, scale).mul_norm_power(degree // 2)
         return cls(d, k, degree, {(i, i): base for i in range(k)})
 
+    def identity_like(self, degree: int, value: float) -> "MatPoly":
+        """value * |x|^degree * I at this polynomial's d and k."""
+        return MatPoly.identity(self.d, self.k, degree, value)
+
     @classmethod
     def diagonal(cls, polys: list[Poly]) -> "MatPoly":
         d = polys[0].d
@@ -514,6 +522,15 @@ class MatPoly:
         return cls(d, k, degree, entries)
 
 
+def from_dict(data) -> Poly | MatPoly:
+    """A polynomial from its JSON object: a MatPoly when it has "entries",
+    a Poly otherwise."""
+    if not isinstance(data, dict):
+        raise ValueError(f"malformed polynomial JSON: expected an object, "
+                         f"got {type(data).__name__}")
+    return (MatPoly if "entries" in data else Poly).from_dict(data)
+
+
 # ---------------------------------------------------------------------------
 # Sphere sampling and sup-norm estimation
 # ---------------------------------------------------------------------------
@@ -577,9 +594,7 @@ def _euler_values(target: Poly | MatPoly, X: np.ndarray, grads: np.ndarray) -> n
     x . grad f(x) = degree * f(x); a constant is evaluated directly."""
     if target.degree == 0:
         return target.eval_many(X)
-    if isinstance(target, MatPoly):
-        return np.einsum("na,naij->nij", X, grads) / target.degree
-    return np.einsum("na,na->n", X, grads) / target.degree
+    return np.einsum("na,na...->n...", X, grads) / target.degree
 
 
 def _ascend(value_grad, X0: np.ndarray, sign: np.ndarray, iters: int, grad_tol: float):

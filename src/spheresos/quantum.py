@@ -335,10 +335,9 @@ def bss_gap_certificate(
         )
     h_low, x_best, y_best = hsep_lower(M, restarts=restarts, seed=seed)
     P = realify(M)
-    d_b = M.dims[1]
 
     def attempt(gamma: float) -> Certificate:
-        F = (MatPoly.identity(2 * d_b, 2 * M.dims[0], 2, gamma) - P) * (1.0 / gamma)
+        F = (P.identity_like(2, gamma) - P) * (1.0 / gamma)
         return build_certificate(F, ell=ell, bounds=(0.0, 1.0), restarts=restarts, seed=seed)
 
     gamma = max(h_low, 1e-12) * (1.0 + 1e-6)

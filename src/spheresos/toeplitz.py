@@ -29,9 +29,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eig_banded, eigh_tridiagonal
+from scipy.linalg import eig_banded
 
-from .gegenbauer import GegenbauerBasis, _offdiagonal
+from .gegenbauer import GegenbauerBasis
 
 
 @dataclass
@@ -156,10 +156,9 @@ def lambda_max(op: ToeplitzOp) -> tuple[float, np.ndarray]:
 
 
 def gegenbauer_roots(basis: GegenbauerBasis, m: int) -> np.ndarray:
-    """All m roots of C_m, ascending, as eigenvalues of the m x m Jacobi matrix."""
+    """All m roots of C_m, ascending: the nodes of the m-point Gauss rule,
+    which are the eigenvalues of the m x m Jacobi matrix.  The array is the
+    rule's cached, read-only one, shared with every caller; copy it to edit."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    if m == 1:
-        return np.zeros(1)
-    offd = _offdiagonal(basis.d, m - 1)
-    return eigh_tridiagonal(np.zeros(m), offd, eigvals_only=True)
+    return basis.gauss_rule(m)[0]

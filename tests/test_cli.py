@@ -10,7 +10,7 @@ import pytest
 
 from spheresos.certificate import Certificate
 from spheresos.cli import main
-from spheresos.poly import Poly
+from spheresos.poly import MatPoly, Poly
 
 
 @pytest.fixture
@@ -151,6 +151,71 @@ def test_certify_and_verify_round_trip(tmp_path, quartic_file, capsys):
     assert payload["certificate"]["verification"]["passed"]
     rc = main(["verify", "--input", str(path), "--cert", str(cert_path)])
     assert rc == 0
+
+
+def test_matrix_json_certifies_without_flag(tmp_path):
+    # the JSON's "entries" key marks a matrix polynomial; --matrix changes
+    # nothing, and its artifact bytes are those of the run without it
+    rng = np.random.default_rng(22)
+    import itertools
+
+    exps = [e for e in itertools.product(range(3), repeat=3) if sum(e) == 2]
+    entries = {key: Poly(3, 2, {e: 0.5 * rng.standard_normal() for e in exps})
+               for key in ((0, 0), (0, 1), (1, 1))}
+    path = tmp_path / "mat.json"
+    path.write_text(json.dumps(MatPoly(3, 2, 2, entries).to_dict()))
+    texts = []
+    for flag in ([], ["--matrix"]):
+        cert_path = tmp_path / f"cert{len(flag)}.json"
+        ver_path = tmp_path / f"ver{len(flag)}.json"
+        argv = ["certify", "--input", str(path), "--ell", "8", "--out", str(cert_path)]
+        assert main(argv + flag) == 0
+        assert main(["verify", "--input", str(path), "--cert", str(cert_path),
+                     "--out", str(ver_path)] + flag) == 0
+        texts.append((cert_path.read_text(), ver_path.read_text()))
+    assert json.loads(texts[0][0])["certificate"]["H"]["matrix"] is True
+    assert texts[0] == texts[1]
+
+
+def test_scalar_json_with_matrix_flag_certifies_as_scalar(tmp_path, quartic_file):
+    path, _ = quartic_file
+    texts = []
+    for flag in ([], ["--matrix"]):
+        out = tmp_path / f"cert{len(flag)}.json"
+        assert main(["certify", "--input", str(path), "--ell", "8", "--out", str(out)]
+                    + flag) == 0
+        texts.append(out.read_text())
+    assert json.loads(texts[1])["certificate"]["H"]["matrix"] is False
+    assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "5"])
+def test_non_object_polynomial_json_exits_1(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert main(["certify", "--input", str(bad), "--ell", "4"]) == 1
+    assert "malformed polynomial JSON" in capsys.readouterr().err
+
+
+def test_sidecars_record_every_setting(tmp_path, quartic_file):
+    path, _ = quartic_file
+    cert_path, ver_path, basis_path = (tmp_path / n for n in ("c.json", "v.json", "b.json"))
+    assert main(["--tol", "1e-6", "certify", "--input", str(path), "--ell", "8",
+                 "--restarts", "7", "--out", str(cert_path)]) == 0
+    assert main(["--tol", "1e-6", "verify", "--input", str(path), "--cert", str(cert_path),
+                 "--restarts", "5", "--out", str(ver_path)]) == 0
+    assert main(["basis-debug", "--d", "3", "--max-degree", "6", "--nodes", "3",
+                 "--out", str(basis_path)]) == 0
+
+    def config(out):
+        return json.loads((tmp_path / (out.name + ".meta.json")).read_text())["config"]
+
+    for out, restarts in ((cert_path, 7), (ver_path, 5)):
+        assert config(out)["restarts"] == restarts
+        assert config(out)["tol"] == 1e-6
+    assert config(cert_path)["command"] == "certify"
+    assert config(basis_path)["max_degree"] == 6
+    assert config(basis_path)["nodes"] == 3
 
 
 def test_certify_underfunded_delta_exits_2(tmp_path, quartic_file):

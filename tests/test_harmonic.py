@@ -199,3 +199,7 @@ def test_harmonic_decomp_json_round_trip():
     Fdec = decompose_matrix(MatPoly.diagonal([rand_homog(2, 2, rng)]))
     clone2 = HarmonicDecomp.from_dict(Fdec.to_dict())
     assert clone2.matrix and clone2.n == 1
+    # the parts carry their own type; the "matrix" key is not read back
+    data = Fdec.to_dict()
+    del data["matrix"]
+    assert HarmonicDecomp.from_dict(data).to_dict() == Fdec.to_dict()

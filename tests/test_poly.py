@@ -10,6 +10,7 @@ from spheresos.poly import (
     MatPoly,
     Poly,
     SpherePoint,
+    from_dict,
     sample_sphere,
     sample_sphere_array,
     sup_norm_sphere,
@@ -223,6 +224,17 @@ def test_matpoly_shape_and_json():
     assert np.abs(vals - vals.transpose(0, 2, 1)).max() == 0.0
     G = MatPoly.from_dict(F.to_dict())
     assert G.entries[(0, 1)] == F.entries[(0, 1)]
+
+
+def test_from_dict_reads_the_type_from_the_json():
+    scalar = Poly.monomial(3, (2, 0, 0), 1.5)
+    matrix = MatPoly.diagonal([scalar, Poly.zero(3, 2)])
+    assert from_dict(scalar.to_dict()) == scalar
+    loaded = from_dict(matrix.to_dict())
+    assert isinstance(loaded, MatPoly) and loaded.k == 2 and loaded.entries == matrix.entries
+    for bad in ([1, 2], 5, None):
+        with pytest.raises(ValueError, match="malformed polynomial JSON"):
+            from_dict(bad)
 
 
 def test_matpoly_mixed_degree_rejected():

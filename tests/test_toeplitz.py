@@ -104,6 +104,17 @@ def test_gegenbauer_roots_small_case():
     assert np.abs(roots - np.array([-1, 1]) / math.sqrt(3)).max() < 1e-14
 
 
+def test_gegenbauer_roots_are_the_gauss_nodes():
+    # the roots of C_m are the m-point Gauss rule's nodes: one solve, one
+    # shared read-only array
+    for d in range(2, 11):
+        basis = GegenbauerBasis(d, 2)
+        for m in range(1, 90):
+            roots = tz.gegenbauer_roots(basis, m)
+            assert roots is basis.gauss_rule(m)[0], (d, m)
+            assert not roots.flags.writeable
+
+
 def test_gegenbauer_roots_interval_and_symmetry():
     for d in (2, 3, 6):
         basis = GegenbauerBasis(d, 2)
