@@ -119,6 +119,9 @@ class Certificate:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Certificate":
+        if not isinstance(data, dict):
+            raise ValueError(f"malformed certificate JSON: expected an object, "
+                             f"got {type(data).__name__}")
         try:
             s = data["spec"]
             spec = KernelSpec(
@@ -153,6 +156,7 @@ def build_certificate(
     delta: float | None = None,
     restarts: int = 64,
     seed: int = 0,
+    tol_witness: float = TOL_WITNESS,
 ) -> Certificate:
     """Certify that (F - m)/(M - m) + delta is L-SOS on the sphere.
 
@@ -163,9 +167,10 @@ def build_certificate(
     F + delta with normalization (0, 1); an input constant on the sphere is
     normalized by (m, m + 1).  The returned certificate targets the
     normalized G in [0, 1] and carries the report of the checks
-    verify_certificate runs, made on the targets just built; on witness
-    positivity failure it is returned with verification.passed False rather
-    than raising (user-supplied slacks may legitimately fail)."""
+    verify_certificate runs, made on the targets just built with witness
+    tolerance tol_witness; on witness positivity failure it is returned with
+    verification.passed False rather than raising (user-supplied slacks may
+    legitimately fail)."""
     if F.degree % 2 != 0:
         raise ValueError("input degree must be even")
     if ell < 1:
@@ -201,7 +206,7 @@ def build_certificate(
     parts = [t if k == 0 else t * (1.0 / spec.lambdas[k - 1]) for k, t in enumerate(targets)]
     H = HarmonicDecomp(n=n, parts=parts)
     cert = Certificate(spec=spec, delta=delta, normalization=normalization, H=H)
-    cert.verification = _check(cert, G, targets, restarts, seed, TOL_WITNESS)
+    cert.verification = _check(cert, G, targets, restarts, seed, tol_witness)
     return cert
 
 

@@ -144,13 +144,10 @@ def _cmd_rho_table(args) -> int:
 def _cmd_certify(args) -> int:
     F = poly_mod.from_dict(_load_json(args.input))
     _check_cap(args.ell + F.degree)
+    kwargs = {} if args.tol is None else {"tol_witness": args.tol}
     cert = cert_mod.build_certificate(
-        F, ell=args.ell, delta=args.delta, restarts=args.restarts, seed=args.seed
+        F, ell=args.ell, delta=args.delta, restarts=args.restarts, seed=args.seed, **kwargs
     )
-    if args.tol is not None:
-        cert.verification = cert_mod.verify_certificate(
-            F, cert, restarts=args.restarts, seed=args.seed, tol_witness=args.tol
-        )
     payload = {"seed": args.seed, "ell": args.ell, "certificate": cert.to_dict()}
     _write_artifact(args, _json_text(payload))
     rep = cert.verification
@@ -166,7 +163,9 @@ def _cmd_certify(args) -> int:
 def _cmd_verify(args) -> int:
     F = poly_mod.from_dict(_load_json(args.input))
     payload = _load_json(args.cert)
-    cert = cert_mod.Certificate.from_dict(payload.get("certificate", payload))
+    if isinstance(payload, dict):
+        payload = payload.get("certificate", payload)
+    cert = cert_mod.Certificate.from_dict(payload)
     kwargs = {} if args.tol is None else {"tol_witness": args.tol}
     rep = cert_mod.verify_certificate(F, cert, restarts=args.restarts, seed=args.seed, **kwargs)
     text = _json_text({"seed": args.seed, "verification": rep.to_dict()})

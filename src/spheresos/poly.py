@@ -15,7 +15,9 @@ first partials.  A batch of points is then evaluated with one power table
 pow), one gathered product of each monomial's nonzero-exponent factors into
 a (monomials x points) matrix and one matmul, for values and gradients
 alike.  sup_norm_sphere's max and min searches share each step's gradient
-evaluation and take the values from it by Euler's identity.  The compiled
+evaluation and take the values from it by Euler's identity; their steps are
+Barzilai-Borwein (secant) steps on the sphere, which use the change in the
+Riemannian gradient as a curvature estimate and need no Hessian.  The compiled
 form is cached in ``_arrays``; code that edits ``terms`` in place resets it
 to None.
 """
@@ -589,6 +591,16 @@ def _project_rows(X: np.ndarray) -> np.ndarray:
     return X / np.linalg.norm(X, axis=1)[:, None]
 
 
+def _rowdot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (N, d) arrays."""
+    return np.einsum("ij,ij->i", A, B)
+
+
+def _tangent(G: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Riemannian gradients: each row of G minus its component along X's unit row."""
+    return G - _rowdot(G, X)[:, None] * X
+
+
 def _euler_values(target: Poly | MatPoly, X: np.ndarray, grads: np.ndarray) -> np.ndarray:
     """Values at X from the gradients there, by Euler's identity
     x . grad f(x) = degree * f(x); a constant is evaluated directly."""
@@ -598,42 +610,59 @@ def _euler_values(target: Poly | MatPoly, X: np.ndarray, grads: np.ndarray) -> n
 
 
 def _ascend(value_grad, X0: np.ndarray, sign: np.ndarray, iters: int, grad_tol: float):
-    """Batched Riemannian gradient ascent on the sphere with backtracking.
+    """Batched Riemannian gradient ascent on the sphere with secant steps.
 
     value_grad maps an (R, d) batch and its per-row signs s to the values of
     s * f (R,) and their euclidean gradients (R, d), so a row with s = -1
     descends.  Each row is an independent restart; moves are accepted only on
-    strict improvement, so per-restart trajectories are monotone.  Each step
-    evaluates only the rows still moving.  A row stops when its Riemannian
-    gradient is below grad_tol, or at the rounding floor: a rejected step
-    whose predicted gain step * |grad_R|^2 is at most _FLOOR_ULPS * eps * S,
-    with S the largest |value| in the batch, or a step shrunk to 1e-14.
-    Returns the final points and two per-row flags: stopped by the
-    gradient, and stopped at the rounding floor.
+    strict improvement, so per-restart trajectories are monotone.  A row
+    moves from x to the projection of x + step * grad_R.  After an accepted
+    move its next step is the Barzilai-Borwein step of the move, with
+    s = x_new - x_old and y the change in grad_R: |s|^2 / (-s.y) and
+    (-s.y) / |y|^2 on alternate batch steps, or 1.3 times the last step
+    when -s.y <= 0 (no concave curvature seen); the first step is 0.25 and
+    a rejected step halves.  Each row keeps its grad_R and |grad_R|^2, which
+    change only when it moves and come from the trial batch's gradients, and
+    each step evaluates only the rows still moving.  A row stops when its
+    Riemannian gradient is below grad_tol, or at the rounding floor: a
+    rejected step whose predicted gain step * |grad_R|^2 is at most
+    _FLOOR_ULPS * eps * S, with S the largest |value| in the batch, or a
+    step shrunk to 1e-14.  Returns the final points and two per-row flags:
+    stopped by the gradient, and stopped at the rounding floor.
     """
     X = X0.copy()
     v, G = value_grad(X, sign)
+    Gr = _tangent(G, X)
+    gn2 = _rowdot(Gr, Gr)
     step = np.full(X.shape[0], 0.25)
-    small_grad = np.zeros(X.shape[0], dtype=bool)
+    small_grad = gn2 <= grad_tol**2
     floor = np.zeros(X.shape[0], dtype=bool)
     floor_ulp = _FLOOR_ULPS * np.finfo(float).eps
-    for _ in range(iters):
-        Gr = G - (np.sum(G * X, axis=1))[:, None] * X
-        gn2 = np.sum(Gr * Gr, axis=1)
-        small_grad |= gn2 <= grad_tol**2
-        active = np.flatnonzero(~small_grad & ~floor & (step > 1e-14))
+    active = np.flatnonzero(~small_grad)
+    for it in range(iters):
         if active.size == 0:
             break
-        Xt = _project_rows(X[active] + step[active, None] * Gr[active])
-        vt, Gt = value_grad(Xt, sign[active])
-        better = vt > v[active]
-        moved, failed = active[better], active[~better]
-        floor[failed] = step[failed] * gn2[failed] <= floor_ulp * np.abs(v).max()
+        x, g, h = X.take(active, axis=0), Gr.take(active, axis=0), step.take(active)
+        Xt = _project_rows(x + h[:, None] * g)
+        vt, Gt = value_grad(Xt, sign.take(active))
+        better = vt > v.take(active)
+        stuck = ~better & (h * gn2.take(active) <= floor_ulp * np.abs(v).max())
+        Grt = _tangent(Gt, Xt)
+        gt2 = _rowdot(Grt, Grt)
+        s, y = Xt - x, Grt - g
+        curv = -_rowdot(s, y)  # > 0 where the secant sees concave curvature
+        num, den = (_rowdot(s, s), curv) if it % 2 == 0 else (curv, _rowdot(y, y))
+        h = np.where(better, np.divide(num, den, out=1.3 * h, where=curv > 0), 0.5 * h)
+        small = better & (gt2 <= grad_tol**2)
+        step[active] = h
+        floor[active] = stuck
+        small_grad[active] = small
+        moved = active[better]
         X[moved] = Xt[better]
         v[moved] = vt[better]
-        G[moved] = Gt[better]
-        step[moved] *= 1.3
-        step[failed] *= 0.5
+        Gr[moved] = Grt[better]
+        gn2[moved] = gt2[better]
+        active = active[~(small | stuck | (h <= 1e-14))]
     floor |= ~small_grad & (step <= 1e-14)
     return X, small_grad, floor
 
@@ -647,11 +676,12 @@ def sup_norm_sphere(
 ) -> SupNormEstimate:
     """Estimate max / min of a polynomial (or of the eigenvalue range of a
     matrix polynomial) over the unit sphere by multistart projected gradient
-    ascent.  Deterministic in (restarts, seed), and the start points for
-    ``restarts = r`` are a prefix of those for ``restarts = r + 1``, so
-    max_est is non-decreasing in restarts (up to the rounding floor, whose
-    scale is the batch's largest |value|).  The max and min searches run as
-    one batch of 2 * restarts rows.  Each step makes one gradient evaluation
+    ascent with Barzilai-Borwein (secant) steps, see _ascend.  Deterministic
+    in (restarts, seed), and the start points for ``restarts = r`` are a
+    prefix of those for ``restarts = r + 1``, so max_est is non-decreasing
+    in restarts (up to the rounding floor, whose scale is the batch's
+    largest |value|).  The max and min searches run as one batch of
+    2 * restarts rows.  Each step makes one gradient evaluation
     for both and takes the values from it by Euler's identity,
     f(x) = x . grad f(x) / degree; the final points are evaluated once
     directly, and max_est / min_est are picked from those values.  Estimates

@@ -197,6 +197,36 @@ def test_non_object_polynomial_json_exits_1(tmp_path, capsys, text):
     assert "malformed polynomial JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["[1, 2]", "5"])
+def test_non_object_certificate_json_exits_1(tmp_path, capsys, quartic_file, text):
+    path, _ = quartic_file
+    bad = tmp_path / "bad_cert.json"
+    bad.write_text(text)
+    assert main(["verify", "--input", str(path), "--cert", str(bad)]) == 1
+    assert "malformed certificate JSON" in capsys.readouterr().err
+
+
+def test_certify_tolerance_checks_witness_once(tmp_path, quartic_file, monkeypatch):
+    # --tol goes to build_certificate's own checks: one decomposition and two
+    # searches (the range and the witness), as without it
+    import spheresos.certificate as cert_mod
+
+    path, _ = quartic_file
+    calls = {"decompose": 0, "sup_norm_sphere": 0}
+    for name in calls:
+        func = getattr(cert_mod, name)
+
+        def counted(*args, _func=func, _name=name, **kwargs):
+            calls[_name] += 1
+            return _func(*args, **kwargs)
+
+        monkeypatch.setattr(cert_mod, name, counted)
+    out = tmp_path / "cert.json"
+    assert main(["--tol", "1e-6", "certify", "--input", str(path), "--ell", "12",
+                 "--out", str(out)]) == 0
+    assert calls == {"decompose": 1, "sup_norm_sphere": 2}
+
+
 def test_sidecars_record_every_setting(tmp_path, quartic_file):
     path, _ = quartic_file
     cert_path, ver_path, basis_path = (tmp_path / n for n in ("c.json", "v.json", "b.json"))

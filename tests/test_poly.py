@@ -508,9 +508,7 @@ def test_internal_arithmetic_matches_validated_construction():
     assert p.mul_norm_power(2).terms == (p * nsq * nsq).terms
 
 
-def test_rounding_floor_stops_before_step_collapse(monkeypatch):
-    # a step halves from 0.25 to below 1e-14 only after 45 rejections, so a
-    # search that ends sooner with every row converged stopped at the floor
+def _count_gradient_calls(monkeypatch) -> dict:
     calls = {"gradient_many": 0}
     method = Poly.gradient_many
 
@@ -519,7 +517,51 @@ def test_rounding_floor_stops_before_step_collapse(monkeypatch):
         return method(self, X)
 
     monkeypatch.setattr(Poly, "gradient_many", counted)
+    return calls
+
+
+def test_rounding_floor_stops_before_step_collapse(monkeypatch):
+    # The floor test changes only when a row stops, never its trajectory, so
+    # with it switched off (_FLOOR_ULPS = 0) every row follows the same steps
+    # and stops by a small gradient or a collapsed step at the same call as
+    # with it on.  A search that ends sooner with it on therefore had a row
+    # stopped by the floor test, before its step collapsed.  (Counting
+    # halvings from 0.25 does not bound a collapse: a halving run starts
+    # from the row's last secant step, which can be far smaller.)
+    import spheresos.poly as poly_mod
+
+    calls = _count_gradient_calls(monkeypatch)
     p = Poly(3, 4, {(4, 0, 0): 1.0, (0, 4, 0): 1.0, (0, 0, 4): 1.0})
     est = sup_norm_sphere(p, restarts=16, seed=7)
+    with_floor, calls["gradient_many"] = calls["gradient_many"], 0
+    monkeypatch.setattr(poly_mod, "_FLOOR_ULPS", 0.0)
+    sup_norm_sphere(p, restarts=16, seed=7)
     assert est.converged and est.floor_restarts > 0
-    assert calls["gradient_many"] < 45
+    assert with_floor < 45
+    assert with_floor < calls["gradient_many"]
+
+
+def test_close_eigenvalues_converge_before_cap():
+    # x^T A x on S^2 whose two lowest eigenvalues sit close, so a
+    # fixed-ratio step crawls to the minimum
+    Q, _ = np.linalg.qr(np.random.default_rng(10011).standard_normal((3, 3)))
+    A = Q @ np.diag([0.9, -2.081, -2.154]) @ Q.T
+    terms = {}
+    for i, j in itertools.product(range(3), repeat=2):
+        e = [0, 0, 0]
+        e[i] += 1
+        e[j] += 1
+        terms[tuple(e)] = terms.get(tuple(e), 0.0) + A[i, j]
+    est = sup_norm_sphere(Poly(3, 2, terms), restarts=12, seed=0)
+    assert est.converged and est.converged_restarts == 12
+    assert abs(est.min_est - (-2.154)) <= 1e-12
+    assert abs(est.max_est - 0.9) <= 1e-12
+
+
+def test_secant_steps_bound_gradient_calls(monkeypatch):
+    # the bound sits between the 33 batch evaluations secant steps make on
+    # this quartic and the 64 a fixed-ratio step rule makes
+    calls = _count_gradient_calls(monkeypatch)
+    est = sup_norm_sphere(rand_homog(3, 4, np.random.default_rng(55)), restarts=64, seed=0)
+    assert est.converged
+    assert calls["gradient_many"] <= 48
