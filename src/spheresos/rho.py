@@ -12,9 +12,15 @@ q(t) = sum_i e_i C_i(t)/sqrt(C_i(1)) together with the induced eigenvalues
 lambda_{2k} of the squared kernel and the slack delta it certifies.
 kernel_for picks the solver for each n (the one kernel a certificate uses),
 and slack is the one formula from eigenvalues to (rho, delta).
-Each rate cell (d, ell, n) builds its family T[C_2], ..., T[C_2n] in one
-toeplitz.build call on one quadrature, shared read-only by the solvers and
-kernel_lambdas.
+The entries of T[C_2k/C_2k(1)] do not depend on the window ell, so the
+family T[C_2], ..., T[C_2n] is built once, in one toeplitz.build call on one
+quadrature, per canonical window: the smallest power of two >= ell.  Each
+rate cell (d, ell, n) is the read-only leading (ell+1) block of its
+window's family, shared by the solvers and kernel_lambdas.  The window
+depends only on ell, so a cell, and the kernel e a certificate embeds, has
+the same bits whatever else the process computed.  The family cache holds
+four windows, enough for one rho-table call, which walks its windows in
+ascending order.
 """
 
 from __future__ import annotations
@@ -46,6 +52,15 @@ RATE_LEVEL_MULTIPLIER = 2
 # rho4 stops its root search once |g(theta)| is this small: rounding level
 # for an angle in [0, pi/2].
 _G_TOL = 4 * np.finfo(float).eps
+
+# rho4 counts a probe as skipped when a quadratic form (a or b) of its unit
+# vector is at most this.  The matrices have spectral norm <= 1, so the forms
+# lie in [-1, 1].  A form that is 0 in exact arithmetic (d = 2, even ell, at
+# theta = pi/2) comes out with either sign, with |form| up to 2.4e-8 at
+# ell = 254; every other probe form over d = 2..10, ell = 2..80 is above
+# 1e-2.  A form below the threshold would give 1/a + 1/b - 2 > 1e6, and it
+# moves the search the same way whether or not it is counted.
+_FORM_TOL = 1e-6
 
 
 @dataclass
@@ -104,10 +119,15 @@ def kernel_spec_from_e(d: int, ell: int, n: int, e: np.ndarray) -> KernelSpec:
     )
 
 
+def _pow2(m: int) -> int:
+    """The smallest power of two >= m (1 for m <= 1)."""
+    return 1 << max(m - 1, 0).bit_length()
+
+
 def _cached_basis(d: int, max_degree: int) -> GegenbauerBasis:
     # Rounded up to a power of two so that a sweep over ell reuses a few
     # bases; per-index data do not depend on max_degree.
-    return _basis(d, 1 << max(max_degree - 1, 0).bit_length())
+    return _basis(d, _pow2(max_degree))
 
 
 @lru_cache(maxsize=256)
@@ -116,18 +136,29 @@ def _basis(d: int, max_degree: int) -> GegenbauerBasis:
 
 
 @lru_cache(maxsize=4)
-def _cell(d: int, ell: int, n: int) -> tuple:
-    """The family T[C_{2k}/C_{2k}(1)], k = 1..n, on the degree-ell window,
-    built by one toeplitz.build call; rho_tilde, rho4 and kernel_lambdas of
-    one (d, ell, n) all read it.  The matrices depend on the basis only
-    through d, so any max_degree gives the same bits; they are read-only
-    because every caller shares them."""
+def _family(d: int, window: int, n: int) -> tuple:
+    """The family T[C_{2k}/C_{2k}(1)], k = 1..n, on a power-of-two window,
+    built by one toeplitz.build call; read-only, since every cell of the
+    window shares it.  A larger cache would only add hits across rho-table
+    calls, which a one-call-per-process CLI never makes."""
     H = np.zeros((n, 2 * n + 1))
     H[np.arange(n), np.arange(2, 2 * n + 1, 2)] = 1.0
-    family = toeplitz.build(_cached_basis(d, ell + 2 * n), ell, H, kind="gegenbauer")
+    family = toeplitz.build(_cached_basis(d, window + 2 * n), window, H, kind="gegenbauer")
     for op in family:
         op.matrix.flags.writeable = False
     return tuple(family)
+
+
+def _cell(d: int, ell: int, n: int) -> tuple:
+    """The family T[C_{2k}/C_{2k}(1)], k = 1..n, on the degree-ell window:
+    the read-only leading (ell+1) blocks of the family on the smallest power
+    of two >= ell, where the structural zeros, set by index, stay exact.
+    rho_tilde, rho4 and kernel_lambdas of one (d, ell, n) all read it."""
+    m = ell + 1
+    return tuple(
+        toeplitz.ToeplitzOp(op.d, m, op.h_descriptor, op.bandwidth, op.matrix[:m, :m])
+        for op in _family(d, _pow2(ell), n)
+    )
 
 
 def rho2(d: int, ell: int) -> tuple[float, KernelSpec]:
@@ -178,8 +209,9 @@ def rho4(d: int, ell: int) -> tuple[float, KernelSpec]:
     search brackets it until |g| reaches rounding level or the bracket is
     1e-10 wide; each probe solves only the top eigenpair of the banded
     matrix, and the kernel is the probe with the smallest |g|.
-    A direction with b <= 0 (a <= 0) is counted as skipped and moves the
-    search toward B (A).
+    A direction with b <= _FORM_TOL (a <= _FORM_TOL) is counted as skipped
+    and moves the search toward B (A), so the count does not depend on the
+    sign of a form that is zero up to rounding.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
@@ -194,9 +226,9 @@ def rho4(d: int, ell: int) -> tuple[float, KernelSpec]:
         nonlocal skipped, best
         _, u = toeplitz.top_eigenpair(math.cos(theta) * A_band + math.sin(theta) * B_band)
         a, b = float(u @ A @ u), float(u @ B @ u)
-        if b <= 0 or a <= 0:
+        if b <= _FORM_TOL or a <= _FORM_TOL:
             skipped += 1
-            value = -math.pi if b <= 0 else math.pi
+            value = -math.pi if b <= _FORM_TOL else math.pi
         else:
             value = theta - math.atan2(a * a, b * b)
         if abs(value) <= best[0]:

@@ -4,7 +4,10 @@ T[h] is the (ell+1) x (ell+1) symmetric matrix of weighted integrals of
 p_i(t) p_j(t) h(t) against the normalized ultraspherical measure, where
 p_i = C_i / sqrt(C_i(1)) is the orthonormal family.  Entries vanish for
 |i - j| > deg(h) by orthogonality, and T[t] is the tridiagonal Jacobi matrix
-whose eigenvalues are the roots of C_{ell+1}.
+whose eigenvalues are the roots of C_{ell+1}.  An entry does not depend on
+ell, so T[h] on the degree-ell window is the leading (ell+1) block of T[h]
+on any larger window, up to the rounding of the two quadratures; rho serves
+each rate cell as such a block of one build per power-of-two window.
 
 Entries that vanish by degree or parity are stored as exact zeros: those
 outside the band |i - j| <= deg(h); those with i + j of the wrong parity

@@ -94,7 +94,7 @@ def test_rho4_boundary_optimum():
     # not beat it, and its kernel must be the top eigenvector at the angle
     # theta* = atan2(lambda_2^2, lambda_4^2) that the condition names
     thetas = np.linspace(0.0, np.pi / 2, 2001)
-    for d, ell in ((2, 2), (2, 5), (3, 12), (5, 30), (8, 80)):
+    for d, ell in ((2, 2), (2, 5), (2, 10), (3, 12), (5, 30), (8, 80)):
         value, spec = rho4(d, ell)
         basis = GegenbauerBasis(d, ell + 4)
         A = tz.build_single_gegenbauer(basis, ell, 2).matrix
@@ -113,7 +113,16 @@ def test_rho4_boundary_optimum():
         mu = spec.e @ M @ spec.e
         assert np.linalg.norm(M @ spec.e - mu * spec.e) <= 1e-9, (d, ell)
         assert mu >= np.linalg.eigvalsh(M)[-1] - 1e-9, (d, ell)
-        if d == 2:
+        if d == 2 and ell % 2 == 0:
+            # At d = 2 and even ell the top eigenvalue of B is simple and its
+            # eigenvector has a = 0 in exact arithmetic, so the probe at
+            # theta = pi/2 is skipped whatever the sign of its rounded a.  At
+            # odd ell the top eigenspace is a plane holding directions with
+            # a = 0 and a > 0, and the count depends on the vector LAPACK
+            # returns, so nothing is asserted there.
+            w, V = np.linalg.eigh(B)
+            assert w[-1] - w[-2] > 1e-3, ell
+            assert abs(V[:, -1] @ A @ V[:, -1]) <= 1e-12, ell
             assert spec.skipped_directions >= 1, ell
 
 
@@ -208,26 +217,78 @@ def test_banded_top_eigenpair_matches_dense(monkeypatch):
 
 
 def test_cached_toeplitz_is_fresh_build_and_read_only():
-    # a rate cell's family T[C_2k/C_2k(1)], k = 1..n, is one stacked build
-    for d, ell, n in ((2, 3, 2), (3, 12, 1), (5, 30, 3), (8, 80, 2)):
+    # a rate cell's family T[C_2k/C_2k(1)], k = 1..n, is the leading
+    # (ell+1) block of one stacked build on the window W(ell), the smallest
+    # power of two >= ell
+    for d, ell, n, window in ((2, 3, 2, 4), (3, 12, 1, 16), (5, 30, 3, 32), (8, 80, 2, 128)):
         family = rho_mod._cell(d, ell, n)
         H = np.zeros((n, 2 * n + 1))
         for k in range(1, n + 1):
             H[k - 1, 2 * k] = 1.0
-        fresh = tz.build(GegenbauerBasis(d, ell + 2 * n), ell, H, kind="gegenbauer")
-        assert len(family) == len(fresh) == n
-        for op, ref in zip(family, fresh):
-            assert np.array_equal(op.matrix, ref.matrix), (d, ell, n)
-            assert op.bandwidth == ref.bandwidth
+        fresh = tz.build(GegenbauerBasis(d, window + 2 * n), window, H, kind="gegenbauer")
+        direct = tz.build(GegenbauerBasis(d, ell + 2 * n), ell, H, kind="gegenbauer")
+        assert len(family) == len(fresh) == len(direct) == n
+        for op, ref, at_ell in zip(family, fresh, direct):
+            assert op.size == ell + 1 and op.matrix.shape == (ell + 1, ell + 1)
+            assert np.array_equal(op.matrix, ref.matrix[: ell + 1, : ell + 1]), (d, ell, n)
+            assert op.bandwidth == ref.bandwidth == at_ell.bandwidth
+            assert op.h_descriptor == at_ell.h_descriptor
+            # entries do not depend on the window; the quadratures differ,
+            # and over d = 2..8, ell = 1..80, n = 1..3 the block and the
+            # build at ell differ by at most 1.1e-13 entrywise
+            assert np.max(np.abs(op.matrix - at_ell.matrix)) <= 1e-12, (d, ell, n)
             with pytest.raises(ValueError):
                 op.matrix[0, 0] = 1.0
     # bases are shared between max_degrees of one power-of-two block
     assert rho_mod._cached_basis(3, 5) is rho_mod._cached_basis(3, 8)
 
 
+def test_sliced_cells_keep_structural_zeros():
+    # band, parity and i + j < 2k zeros are set by index in the window's
+    # build, so the block keeps them as exact zeros
+    for d, ell, n in ((2, 5, 2), (3, 1, 3), (3, 2, 3), (4, 11, 3), (6, 33, 2)):
+        for k, op in enumerate(rho_mod._cell(d, ell, n), start=1):
+            i, j = np.indices(op.matrix.shape)
+            structural = (np.abs(i - j) > 2 * k) | ((i + j) % 2 == 1) | (i + j < 2 * k)
+            assert np.all(op.matrix[structural] == 0.0), (d, ell, n, k)
+            # Gegenbauer linearization coefficients are positive for d >= 3,
+            # so there the zeros are exactly the structural ones
+            assert np.all(op.matrix[~structural] != 0.0) or d == 2, (d, ell, n, k)
+            if ell < k:
+                assert not op.matrix.any(), (d, ell, n, k)
+    # ell = 1 cannot reach the 4th harmonic: T[C_4] is the zero matrix
+    with pytest.raises(rho_mod.DegenerateKernelError):
+        rho4(3, 1)
+
+
+def test_cell_bits_do_not_depend_on_history():
+    # a cell's window depends only on ell, so a row and a kernel have the
+    # same bits whichever cells the process built before
+    def key(row):
+        return [row[c] for c in ("rho2", "rho4", "rho_tilde", "rho_bound")] + [row["kernel"].e]
+
+    def same(x, y):
+        assert len(x) == len(y)
+        for a, b in zip(x, y):
+            assert np.array_equal(a, b)
+
+    for d, ell, n in ((3, 9, 1), (4, 12, 2), (5, 30, 3)):
+        rho_mod._family.cache_clear()
+        rho_mod.kernel_for.cache_clear()
+        alone = key(rate_table([d], [ell], [n])[0])
+        kernel = rho_mod.kernel_for(d, ell, n).e.copy()
+        rho_mod.kernel_for.cache_clear()
+        rows = rate_table([d], [ell - 1, ell, 2 * ell, 5 * ell], [n])
+        same(key(next(r for r in rows if r["ell"] == ell)), alone)
+        rate_table([d, d + 1], [3, 17, 40, 70], [1, 2, 3])
+        rho_mod.kernel_for.cache_clear()
+        same(key(rate_table([d], [ell], [n])[0]), alone)
+        assert np.array_equal(rho_mod.kernel_for(d, ell, n).e, kernel)
+
+
 def test_rate_table_builds_each_cell_once(monkeypatch):
-    # one stacked toeplitz.build per (d, ell, n) cell serves rho_tilde, rho4
-    # and kernel_lambdas alike
+    # one stacked toeplitz.build per (d, window, n) serves every cell
+    # (d, ell, n) of the window, and rho_tilde, rho4 and kernel_lambdas alike
     calls = []
     build = tz.build
 
@@ -236,10 +297,10 @@ def test_rate_table_builds_each_cell_once(monkeypatch):
         return build(basis, ell, h, kind)
 
     monkeypatch.setattr(tz, "build", counting)
-    rho_mod._cell.cache_clear()
+    rho_mod._family.cache_clear()
     rate_table([4], [1, 7, 11], [1, 2, 3])
-    cells = [(4, ell, (n, 2 * n + 1)) for ell in (1, 7, 11) for n in (1, 2, 3)]
-    assert sorted(calls) == sorted(cells)
+    windows = [(4, w, (n, 2 * n + 1)) for w in (1, 8, 16) for n in (1, 2, 3)]
+    assert sorted(calls) == sorted(windows)
 
 
 def test_rate_table_solves_each_n1_cell_once(monkeypatch):
