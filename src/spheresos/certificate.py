@@ -129,12 +129,22 @@ class Certificate:
                 e=np.asarray(s["e"], dtype=float),
                 lambdas=np.asarray(s["lambdas"], dtype=float),
             )
-            spec.rho_value, spec.delta = slack(spec.n, spec.lambdas)
             norm = (float(data["normalization"]["m"]), float(data["normalization"]["M"]))
             H = HarmonicDecomp.from_dict(data["H"])
-            return cls(spec=spec, delta=float(data["delta"]), normalization=norm, H=H)
+            delta = float(data["delta"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed certificate JSON: {exc}") from exc
+        # Parts that disagree would fail deep inside the checks, after the
+        # Toeplitz family for ell is built; refuse them here.
+        parts = [(p.d, p.degree) for p in H.parts]
+        if (spec.e.shape != (spec.ell + 1,) or spec.lambdas.shape != (spec.n,)
+                or H.n != spec.n or parts != [(spec.d, 2 * k) for k in range(spec.n + 1)]):
+            raise ValueError(
+                f"malformed certificate JSON: parts disagree: d = {spec.d}, ell = {spec.ell}, "
+                f"n = {spec.n}, e shape {spec.e.shape}, lambdas shape {spec.lambdas.shape}, "
+                f"H n = {H.n}, H parts (d, degree) {parts}")
+        spec.rho_value, spec.delta = slack(spec.n, spec.lambdas)
+        return cls(spec=spec, delta=delta, normalization=norm, H=H)
 
 
 def _targets(F, normalization: tuple[float, float], delta: float):

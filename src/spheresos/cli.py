@@ -166,6 +166,7 @@ def _cmd_verify(args) -> int:
     if isinstance(payload, dict):
         payload = payload.get("certificate", payload)
     cert = cert_mod.Certificate.from_dict(payload)
+    _check_cap(cert.spec.ell + F.degree)
     kwargs = {} if args.tol is None else {"tol_witness": args.tol}
     rep = cert_mod.verify_certificate(F, cert, restarts=args.restarts, seed=args.seed, **kwargs)
     text = _json_text({"seed": args.seed, "verification": rep.to_dict()})

@@ -206,6 +206,28 @@ def test_non_object_certificate_json_exits_1(tmp_path, capsys, quartic_file, tex
     assert "malformed certificate JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit", [
+    lambda c: c["spec"].update(lambdas=c["spec"]["lambdas"][:1]),
+    lambda c: c["spec"].update(e=c["spec"]["e"][:-1]),
+    lambda c: c["spec"].update(ell=12),
+], ids=["short_lambdas", "short_e", "raised_ell"])
+def test_mismatched_certificate_json_exits_1(tmp_path, capsys, quartic_file, monkeypatch, edit):
+    # parts of a certificate that disagree are refused when it is read,
+    # before any check runs
+    import spheresos.certificate as cert_mod
+
+    path, _ = quartic_file
+    cert_path = tmp_path / "cert.json"
+    assert main(["certify", "--input", str(path), "--ell", "8", "--out", str(cert_path)]) == 0
+    payload = json.loads(cert_path.read_text())
+    edit(payload["certificate"])
+    cert_path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    monkeypatch.setattr(cert_mod, "_check", lambda *a, **k: pytest.fail("checks ran"))
+    assert main(["verify", "--input", str(path), "--cert", str(cert_path)]) == 1
+    assert "malformed certificate JSON" in capsys.readouterr().err
+
+
 def test_certify_tolerance_checks_witness_once(tmp_path, quartic_file, monkeypatch):
     # --tol goes to build_certificate's own checks: one decomposition and two
     # searches (the range and the witness), as without it
@@ -350,8 +372,16 @@ def test_basis_debug(tmp_path):
 
 def test_env_degree_cap(tmp_path, monkeypatch, quartic_file, capsys):
     path, _ = quartic_file
+    cert_path = tmp_path / "cert.json"
+    monkeypatch.delenv("SPHERESOS_MAX_DEGREE", raising=False)
+    assert main(["certify", "--input", str(path), "--ell", "8", "--out", str(cert_path)]) == 0
+    capsys.readouterr()
     monkeypatch.setenv("SPHERESOS_MAX_DEGREE", "10")
     rc = main(["certify", "--input", str(path), "--ell", "12"])
+    assert rc == 1
+    assert "SPHERESOS_MAX_DEGREE" in capsys.readouterr().err
+    # verify needs ell + deg(F) = 12 for the same certificate
+    rc = main(["verify", "--input", str(path), "--cert", str(cert_path)])
     assert rc == 1
     assert "SPHERESOS_MAX_DEGREE" in capsys.readouterr().err
 
