@@ -8,8 +8,19 @@ eigenvalue.  When the slack dominates (B_{2n}/2) sum |1/lambda_{2k} - 1| the
 witness is pointwise nonnegative and G + delta agrees on the sphere with the
 integral of q(<x, y>)^2 H(y), an L-SOS representation.  Validity is checked
 algebraically through the diagonal (Funk-Hecke) action on harmonic
-coefficients plus a multistart positivity search on the witness; the range
+coefficients plus a positivity check on the witness; the range
 normalization of the original input is recorded so callers can undo it.
+
+The integrand q(<x, y>)^2 H(y) has degree 2 ell + 2n in y.  On a
+positive-weight rule (y_i, w_i) exact to that degree the integral is the
+sum of w_i H(y_i) q(<x, y_i>)^2, so H(y_i) >= 0 at the nodes (the smallest
+eigenvalue, for a matrix) already makes G + delta an explicit sum of
+squares.  Where sphere_quadrature has such a rule (d <= 4, degree <= 60)
+with at most WITNESS_NODE_BUDGET nodes, the positivity check reads the
+witness at its nodes: a "cubature" check, exact up to rounding and
+independent of the seed and restart count.  Beyond it the check is a
+"multistart" descent search for the witness minimum (poly.min_sphere),
+which is not certified.
 
 Construction and verification share one computation of the targets (the
 harmonic parts of G + delta) and one set of checks, so a build decomposes
@@ -23,12 +34,13 @@ rho.slack, so construction, reloading and the margin check agree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .gegenbauer import GegenbauerBasis
 from .harmonic import HarmonicDecomp, decompose
-from .poly import MatPoly, Poly, sup_norm_sphere
+from .poly import MatPoly, Poly, min_sphere, sup_norm_sphere
 from .rho import DegenerateKernelError, KernelSpec, kernel_for, kernel_lambdas, slack
 
 
@@ -43,6 +55,11 @@ TOL_FUNK_HECKE = 1e-9
 TOL_WITNESS = 1e-8
 TOL_MARGIN = 1e-10
 
+# Largest rule the witness check evaluates.  At d = 4 a rule of degree 18
+# (2,420 nodes: qsep with d_B = 2 at ell = 8) fits; one of degree 34
+# (12,996 nodes) took about 5x longer than the descent search it replaces.
+WITNESS_NODE_BUDGET = 4_000
+
 
 @dataclass
 class VerificationReport:
@@ -54,15 +71,21 @@ class VerificationReport:
     eq15_margin: float
     checks: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
-    # Witness positivity search: restarts run, those that converged rather
-    # than stopping at the iteration cap, and those of the converged with a
-    # side stopped at the rounding floor rather than by a small gradient.
+    # How witness positivity was decided: "cubature" (witness_min is the
+    # minimum over the witness_nodes nodes of a rule exact to degree
+    # witness_rule_degree) or "multistart" (a descent search: restarts run,
+    # those that converged rather than stopping at the iteration cap, and
+    # those of the converged stopped at the rounding floor rather than by a
+    # small gradient).
+    witness_check: str = "multistart"
+    witness_nodes: int = 0
+    witness_rule_degree: int = 0
     witness_restarts: int = 0
     witness_restarts_converged: int = 0
     witness_restarts_floor: int = 0
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "passed": self.passed,
             "kernel_norm_error": self.kernel_norm_error,
             "lambda_recompute_error": self.lambda_recompute_error,
@@ -71,12 +94,18 @@ class VerificationReport:
             "eq15_margin": self.eq15_margin,
             "checks": self.checks,
             "notes": self.notes,
-            "witness_search": {
+            "witness_check": self.witness_check,
+        }
+        if self.witness_check == "cubature":
+            out["witness_rule"] = {"nodes": self.witness_nodes,
+                                   "degree": self.witness_rule_degree}
+        else:
+            out["witness_search"] = {
                 "restarts": self.witness_restarts,
                 "converged": self.witness_restarts_converged,
                 "floor": self.witness_restarts_floor,
-            },
-        }
+            }
+        return out
 
 
 @dataclass
@@ -231,10 +260,13 @@ def verify_certificate(
 
     Four checks: unit kernel coefficients with eigenvalues recomputed from
     the Toeplitz matrices; the diagonal (Funk-Hecke) action matching the
-    harmonic parts of the normalized input coefficient-wise; multistart
-    positivity of the witness; and the slack margin
-    delta - (B_{2n}/2) sum |1/lambda_{2k} - 1| >= 0.  The targets are derived
-    from the stored normalization and slack.  Report-only."""
+    harmonic parts of the normalized input coefficient-wise; positivity of
+    the witness, read at the nodes of a rule exact to degree 2 ell + 2n when
+    one fits WITNESS_NODE_BUDGET (restarts and seed then play no part), and
+    otherwise searched by restarts descents from seeded start points; and
+    the slack margin delta - (B_{2n}/2) sum |1/lambda_{2k} - 1| >= 0.  The
+    targets are derived from the stored normalization and slack.
+    Report-only."""
     if F.d != cert.spec.d:
         raise ValueError("dimension mismatch between input and certificate")
     if F.degree // 2 != cert.H.n:
@@ -247,6 +279,8 @@ def _check(cert: Certificate, G, targets: list, restarts: int, seed: int,
            tol_witness: float) -> VerificationReport:
     """The four checks of verify_certificate, given the normalized input G
     and the harmonic parts of G + delta."""
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
     spec = cert.spec
     n = cert.H.n
     notes = []
@@ -267,13 +301,26 @@ def _check(cert: Certificate, G, targets: list, restarts: int, seed: int,
     funk_hecke_ok = fh_resid <= TOL_FUNK_HECKE
 
     witness = cert.H.reconstruct()
-    est = sup_norm_sphere(witness, restarts=restarts, seed=seed)
-    witness_ok = est.min_est >= -tol_witness
-    if not est.converged:
-        capped = est.restarts - est.converged_restarts
-        notes.append(
-            f"witness positivity search hit iteration cap in {capped} of {est.restarts} restarts"
-        )
+    degree = 2 * (spec.ell + n)
+    rule = _witness_rule(spec.d, degree)
+    if rule is not None:
+        values = witness.eval_many(rule)
+        if cert.H.matrix:
+            values = np.linalg.eigvalsh(values)[:, 0]
+        witness_min = float(values.min())
+        how = {"witness_check": "cubature", "witness_nodes": len(rule),
+               "witness_rule_degree": degree}
+    else:
+        est = min_sphere(witness, restarts=restarts, seed=seed)
+        witness_min = est.min_est
+        how = {"witness_check": "multistart", "witness_restarts": est.restarts,
+               "witness_restarts_converged": est.converged_restarts,
+               "witness_restarts_floor": est.floor_restarts}
+        if not est.converged:
+            capped = est.restarts - est.converged_restarts
+            notes.append(f"witness positivity search hit iteration cap in {capped} "
+                         f"of {est.restarts} restarts")
+    witness_ok = witness_min >= -tol_witness
 
     margin = cert.delta - slack(n, spec.lambdas)[1]
     margin_ok = margin >= -TOL_MARGIN
@@ -286,7 +333,7 @@ def _check(cert: Certificate, G, targets: list, restarts: int, seed: int,
         kernel_norm_error=e_norm_err,
         lambda_recompute_error=lam_err,
         funk_hecke_residual=fh_resid,
-        witness_min=est.min_est,
+        witness_min=witness_min,
         eq15_margin=margin,
         checks={
             "kernel": kernel_ok,
@@ -295,10 +342,26 @@ def _check(cert: Certificate, G, targets: list, restarts: int, seed: int,
             "margin": margin_ok,
         },
         notes=notes,
-        witness_restarts=est.restarts,
-        witness_restarts_converged=est.converged_restarts,
-        witness_restarts_floor=est.floor_restarts,
+        **how,
     )
+
+
+def _witness_rule(d: int, degree: int) -> np.ndarray | None:
+    """Nodes of sphere_quadrature(d, degree) when it is supported and has at
+    most WITNESS_NODE_BUDGET of them (counted before it is built), else
+    None."""
+    if not (2 <= d <= 4 and degree <= 60):
+        return None
+    if (degree + 2) * ((degree + 1) // 2 + 2) ** (d - 2) > WITNESS_NODE_BUDGET:
+        return None
+    return _cached_nodes(d, degree)
+
+
+@lru_cache(maxsize=32)
+def _cached_nodes(d: int, degree: int) -> np.ndarray:
+    nodes, _ = sphere_quadrature(d, degree)
+    nodes.flags.writeable = False
+    return nodes
 
 
 def reznick_lambdas(d: int, ell: int, max_k: int) -> np.ndarray:

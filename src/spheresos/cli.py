@@ -151,10 +151,14 @@ def _cmd_certify(args) -> int:
     payload = {"seed": args.seed, "ell": args.ell, "certificate": cert.to_dict()}
     _write_artifact(args, _json_text(payload))
     rep = cert.verification
+    if rep.witness_check == "cubature":
+        how = f"cubature({rep.witness_nodes} nodes, degree {rep.witness_rule_degree})"
+    else:
+        how = f"multistart({rep.witness_restarts_converged}/{rep.witness_restarts} converged)"
     print(
         f"certify: n={cert.spec.n} ell={cert.spec.ell} delta={cert.delta:.6g} "
-        f"witness_min={rep.witness_min:.3e} margin={rep.eq15_margin:.3e} "
-        f"passed={rep.passed}",
+        f"witness_min={rep.witness_min:.3e} witness_check={how} "
+        f"margin={rep.eq15_margin:.3e} passed={rep.passed}",
         file=sys.stderr,
     )
     return 0 if rep.passed else 2
@@ -252,7 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="accepted for compatibility and ignored: a matrix polynomial "
                    "is recognized by the \"entries\" key of its JSON")
     p.add_argument("--delta", type=float, default=None, help="override the theorem slack")
-    p.add_argument("--restarts", type=int, default=64)
+    p.add_argument("--restarts", type=int, default=64,
+                   help="multistart restarts of the range search, and of the witness "
+                   "positivity search where no cubature rule fits the node budget")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_certify)
 
@@ -260,7 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--cert", required=True)
     p.add_argument("--matrix", action="store_true", help="accepted and ignored, as for certify")
-    p.add_argument("--restarts", type=int, default=64)
+    p.add_argument("--restarts", type=int, default=64,
+                   help="restarts of the witness positivity search, used only where "
+                   "no cubature rule fits the node budget (d > 4 or a large ell)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_verify)
 

@@ -15,7 +15,8 @@ first partials.  A batch of points is then evaluated with one power table
 pow), one gathered product of each monomial's nonzero-exponent factors into
 a (monomials x points) matrix and one matmul, for values and gradients
 alike.  sup_norm_sphere's max and min searches share each step's gradient
-evaluation and take the values from it by Euler's identity; their steps are
+evaluation and take the values from it by Euler's identity (min_sphere runs
+the min search alone, on the same start points); their steps are
 Barzilai-Borwein (secant) steps on the sphere, which use the change in the
 Riemannian gradient as a curvature estimate and need no Hessian.  The compiled
 form is cached in ``_arrays``; code that edits ``terms`` in place resets it
@@ -667,6 +668,50 @@ def _ascend(value_grad, X0: np.ndarray, sign: np.ndarray, iters: int, grad_tol: 
     return X, small_grad, floor
 
 
+def _multistart(target: Poly | MatPoly, restarts: int, seed: int, iters: int,
+                grad_tol: float, signs: tuple[float, ...]) -> list[tuple]:
+    """_ascend from the same ``restarts`` start points once per side in
+    ``signs`` (+1 climbs to the maximum, -1 descends to the minimum), as one
+    batch of len(signs) * restarts rows.  Each step makes one gradient
+    evaluation and takes the values from it by Euler's identity; for a
+    matrix the ascent follows the extreme eigenvalue on the row's side,
+    whose gradient is v^T (dF/dx_a) v.  Returns, per side, the values at the
+    final points, evaluated once directly, the final points, whether each
+    row stopped before the iteration cap, and whether it stopped at the
+    rounding floor."""
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
+    X0 = sample_sphere_array(target.d, restarts, seed)
+    sign = np.repeat(signs, restarts)
+    matrix = isinstance(target, MatPoly)
+
+    def value_grad(X, sign):
+        grads = target.gradient_many(X)
+        vals = _euler_values(target, X, grads)
+        if matrix:
+            w, V = np.linalg.eigh(vals)
+            rows = np.arange(X.shape[0])
+            pick = np.where(sign > 0, target.k - 1, 0)
+            vec = V[rows, :, pick]
+            vals = w[rows, pick]
+            grads = np.einsum("naij,ni,nj->na", grads, vec, vec)
+        return sign * vals, sign[:, None] * grads
+
+    X, small_grad, floor = _ascend(value_grad, np.tile(X0, (len(signs), 1)), sign, iters,
+                                   grad_tol)
+    vals = target.eval_many(X)
+    if matrix:
+        w = np.linalg.eigvalsh(vals)
+        vals = np.where(sign > 0, w[:, -1], w[:, 0])
+    stopped = small_grad | floor
+    sides = [slice(i * restarts, (i + 1) * restarts) for i in range(len(signs))]
+    return [(vals[s], X[s], stopped[s], floor[s]) for s in sides]
+
+
+def _sphere_point(x: np.ndarray) -> SpherePoint:
+    return SpherePoint(x.size, _project_rows(x[None, :])[0])
+
+
 def sup_norm_sphere(
     target: Poly | MatPoly,
     restarts: int = 64,
@@ -681,40 +726,12 @@ def sup_norm_sphere(
     prefix of those for ``restarts = r + 1``, so max_est is non-decreasing
     in restarts (up to the rounding floor, whose scale is the batch's
     largest |value|).  The max and min searches run as one batch of
-    2 * restarts rows.  Each step makes one gradient evaluation
-    for both and takes the values from it by Euler's identity,
-    f(x) = x . grad f(x) / degree; the final points are evaluated once
-    directly, and max_est / min_est are picked from those values.  Estimates
-    are not certified."""
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    X0 = sample_sphere_array(target.d, restarts, seed)
-    signs = np.repeat([1.0, -1.0], restarts)
-    matrix = isinstance(target, MatPoly)
-
-    def value_grad(X, sign):
-        # sign * f and its gradient; for a matrix the extreme eigenvalue on
-        # the side of sign, whose gradient is v^T (dF/dx_a) v.
-        grads = target.gradient_many(X)
-        vals = _euler_values(target, X, grads)
-        if matrix:
-            w, V = np.linalg.eigh(vals)
-            rows = np.arange(X.shape[0])
-            pick = np.where(sign > 0, target.k - 1, 0)
-            vec = V[rows, :, pick]
-            vals = w[rows, pick]
-            grads = np.einsum("naij,ni,nj->na", grads, vec, vec)
-        return sign * vals, sign[:, None] * grads
-
-    X, small_grad, floor = _ascend(value_grad, np.vstack([X0, X0]), signs, iters, grad_tol)
-    vals = target.eval_many(X)
-    if matrix:
-        w = np.linalg.eigvalsh(vals)
-        vals = np.concatenate([w[:restarts, -1], w[restarts:, 0]])
-    vmax, Xmax, vmin, Xmin = vals[:restarts], X[:restarts], vals[restarts:], X[restarts:]
-    stopped = small_grad | floor
-    done = stopped[:restarts] & stopped[restarts:]
-    at_floor = done & (floor[:restarts] | floor[restarts:])
+    2 * restarts rows (see _multistart); max_est / min_est are picked from
+    the direct values at the final points.  Estimates are not certified."""
+    (vmax, Xmax, done_max, floor_max), (vmin, Xmin, done_min, floor_min) = _multistart(
+        target, restarts, seed, iters, grad_tol, (1.0, -1.0))
+    done = done_max & done_min
+    at_floor = done & (floor_max | floor_min)
 
     imax = int(np.argmax(vmax))
     imin = int(np.argmin(vmin))
@@ -722,10 +739,47 @@ def sup_norm_sphere(
     return SupNormEstimate(
         max_est=float(vmax[imax]),
         min_est=float(vmin[imin]),
-        argmax=SpherePoint(target.d, _project_rows(Xmax[imax][None, :])[0]),
-        argmin=SpherePoint(target.d, _project_rows(Xmin[imin][None, :])[0]),
+        argmax=_sphere_point(Xmax[imax]),
+        argmin=_sphere_point(Xmin[imin]),
         converged=converged_restarts == restarts,
         restarts=restarts,
         converged_restarts=converged_restarts,
         floor_restarts=int(np.count_nonzero(at_floor)),
+    )
+
+
+@dataclass
+class MinEstimate:
+    """Multistart estimate of the minimum alone: the descent half of a
+    SupNormEstimate, with its counts taken over the descents only."""
+
+    min_est: float
+    argmin: SpherePoint
+    converged: bool
+    restarts: int
+    converged_restarts: int
+    floor_restarts: int
+
+
+def min_sphere(
+    target: Poly | MatPoly,
+    restarts: int = 64,
+    seed: int = 0,
+    iters: int = 200,
+    grad_tol: float = 1e-8,
+) -> MinEstimate:
+    """The minimum search of sup_norm_sphere without its maximum search:
+    ``restarts`` descent rows from the same start points.  min_est agrees
+    with sup_norm_sphere's up to the rounding floor, whose scale is now the
+    largest |value| among the descents.  Not certified."""
+    ((vals, X, done, floor),) = _multistart(target, restarts, seed, iters, grad_tol, (-1.0,))
+    imin = int(np.argmin(vals))
+    converged_restarts = int(np.count_nonzero(done))
+    return MinEstimate(
+        min_est=float(vals[imin]),
+        argmin=_sphere_point(X[imin]),
+        converged=converged_restarts == restarts,
+        restarts=restarts,
+        converged_restarts=converged_restarts,
+        floor_restarts=int(np.count_nonzero(done & floor)),
     )

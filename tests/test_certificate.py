@@ -14,7 +14,7 @@ from spheresos.certificate import (
     sphere_quadrature,
     verify_certificate,
 )
-from spheresos.poly import MatPoly, Poly, sample_sphere_array, sup_norm_sphere
+from spheresos.poly import MatPoly, Poly, min_sphere, sample_sphere_array
 from spheresos.rho import rho2
 
 
@@ -194,14 +194,20 @@ def test_tampered_certificate_fails_funk_hecke():
 
 
 def test_report_carries_witness_search_counts():
+    # d = 5 has no cubature rule, so a descent search decides positivity
     rng = np.random.default_rng(8)
-    F = rand_homog(3, 4, rng)
+    F = rand_homog(5, 4, rng)
     cert = build_certificate(F, ell=12, restarts=10, seed=12)
-    est = sup_norm_sphere(cert.H.reconstruct(), restarts=10, seed=12)
+    est = min_sphere(cert.H.reconstruct(), restarts=10, seed=12)
     rep = cert.verification
+    assert rep.witness_check == "multistart"
+    assert rep.witness_min == est.min_est
     assert rep.witness_restarts == 10
     assert rep.witness_restarts_converged == est.converged_restarts
-    assert rep.to_dict()["witness_search"] == {
+    out = rep.to_dict()
+    assert out["witness_check"] == "multistart"
+    assert "witness_rule" not in out
+    assert out["witness_search"] == {
         "restarts": 10,
         "converged": est.converged_restarts,
         "floor": est.floor_restarts,
@@ -210,22 +216,128 @@ def test_report_carries_witness_search_counts():
     assert capped == (rep.witness_restarts_converged < rep.witness_restarts)
 
 
+def test_report_carries_witness_rule():
+    # d = 3 at ell = 12: the degree-28 rule has 30 * 16 nodes, within budget
+    rng = np.random.default_rng(8)
+    F = rand_homog(3, 4, rng)
+    cert = build_certificate(F, ell=12, restarts=10, seed=12)
+    rep = cert.verification
+    nodes, _ = sphere_quadrature(3, 28)
+    assert rep.witness_check == "cubature"
+    assert rep.witness_min == float(cert.H.reconstruct().eval_many(nodes).min())
+    out = rep.to_dict()
+    assert out["witness_check"] == "cubature"
+    assert out["witness_rule"] == {"nodes": 480, "degree": 28}
+    assert "witness_search" not in out
+    assert not any("iteration cap" in note for note in rep.notes)
+
+
 def test_cap_note_counts_capped_restarts(monkeypatch):
     from spheresos import certificate as cert_mod
 
     rng = np.random.default_rng(8)
-    F = rand_homog(3, 4, rng)
+    F = rand_homog(5, 4, rng)
     cert = build_certificate(F, ell=12, restarts=10, seed=12)
     # two steps are too few for the witness search to settle
     monkeypatch.setattr(
-        cert_mod, "sup_norm_sphere",
-        lambda target, **kw: sup_norm_sphere(target, iters=2, **kw),
+        cert_mod, "min_sphere",
+        lambda target, **kw: min_sphere(target, iters=2, **kw),
     )
     rep = verify_certificate(F, cert, restarts=10, seed=12)
     capped = rep.witness_restarts - rep.witness_restarts_converged
     assert capped > 0
     assert f"witness positivity search hit iteration cap in {capped} of 10 restarts" in rep.notes
     assert 0 <= rep.witness_restarts_floor <= rep.witness_restarts_converged
+
+
+def test_cubature_check_runs_no_search(monkeypatch):
+    from spheresos import certificate as cert_mod
+
+    rng = np.random.default_rng(8)
+    F = rand_homog(3, 4, rng)
+    cert = build_certificate(F, ell=12, restarts=10, seed=12)
+    monkeypatch.setattr(cert_mod, "min_sphere", lambda *a, **k: pytest.fail("searched"))
+    monkeypatch.setattr(cert_mod, "sup_norm_sphere", lambda *a, **k: pytest.fail("searched"))
+    rep = verify_certificate(F, cert, restarts=10, seed=12)
+    assert rep.passed and rep.witness_check == "cubature"
+    assert rep.notes == []
+
+
+@pytest.mark.parametrize("d, degree, nodes", [
+    (2, 18, 20),
+    (3, 28, 480),     # d = 3 quartic at ell = 12
+    (3, 18, 220),     # d = 3 quadratic at ell = 8
+    (4, 18, 2420),    # qsep with d_B = 2 at ell = 8
+    (4, 34, None),    # 12,996 nodes: over budget
+    (3, 62, None),    # past sphere_quadrature's degree cap
+    (5, 18, None),    # past its dimension cap
+    (6, 18, None),
+])
+def test_witness_rule_within_budget(d, degree, nodes):
+    from spheresos.certificate import WITNESS_NODE_BUDGET, _witness_rule
+
+    rule = _witness_rule(d, degree)
+    if nodes is None:
+        assert rule is None
+        return
+    assert nodes <= WITNESS_NODE_BUDGET
+    assert rule.shape == (nodes, d)
+    assert not rule.flags.writeable
+    assert np.array_equal(rule, sphere_quadrature(d, degree)[0])
+    assert _witness_rule(d, degree) is rule
+
+
+def _qsep_witness():
+    from spheresos.quantum import QOperator, realify
+
+    rng = np.random.default_rng(40)
+    A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    P = realify(QOperator.bipartite(A @ A.conj().T / 4, 2, 2))
+    gamma = float(np.linalg.eigvalsh(A @ A.conj().T / 4)[-1])
+    return (P.identity_like(2, gamma) - P) * (1.0 / gamma), (0.0, 1.0)
+
+
+@pytest.mark.parametrize("case", ["quartic_d3", "matrix_k5", "qsep_2x2"])
+def test_witness_rule_gives_explicit_sos(case):
+    # sum_i w_i H(y_i) q(<x, y_i>)^2 = G(x) + delta at unit x, on the rule
+    # the witness check reads: with H(y_i) >= 0 that is a sum of squares
+    from spheresos.gegenbauer import GegenbauerBasis
+
+    rng = np.random.default_rng(41)
+    if case == "quartic_d3":
+        F, bounds, ell = rand_homog(3, 4, rng), None, 12
+    elif case == "matrix_k5":
+        F, bounds, ell = rand_matpoly(3, 5, 2, rng), None, 8
+    else:
+        (F, bounds), ell = _qsep_witness(), 8
+    cert = build_certificate(F, ell=ell, bounds=bounds, seed=3)
+    assert cert.verification.passed
+    assert cert.verification.witness_check == "cubature"
+    d, n = F.d, cert.spec.n
+    Y, w = sphere_quadrature(d, 2 * ell + 2 * n)
+    X = sample_sphere_array(d, 20, seed=42)
+    basis = GegenbauerBasis(d, ell)
+    q = np.tensordot(cert.spec.e, basis.orthonormal_values(X @ Y.T), axes=1)
+    H_nodes = cert.H.reconstruct().eval_many(Y)
+    # the check reads the smallest value, or smallest eigenvalue, at the nodes
+    lowest = np.linalg.eigvalsh(H_nodes)[:, 0] if H_nodes.ndim == 3 else H_nodes
+    assert cert.verification.witness_min == float(lowest.min())
+    lhs = np.tensordot(w * q**2, H_nodes, axes=1)
+    m, M = cert.normalization
+    unit = np.eye(F.k) if isinstance(F, MatPoly) else 1.0
+    rhs = (F.eval_many(X) - m * unit) / (M - m) + cert.delta * unit
+    scale = np.abs(rhs).max()
+    assert np.abs(lhs - rhs).max() <= 1e-12 * scale
+
+
+def test_zero_restarts_rejected_on_both_paths():
+    rng = np.random.default_rng(44)
+    for F in (rand_homog(3, 4, rng), rand_homog(5, 4, rng)):
+        cert = build_certificate(F, ell=12)
+        with pytest.raises(ValueError, match="restarts must be >= 1"):
+            verify_certificate(F, cert, restarts=0)
+        with pytest.raises(ValueError, match="restarts must be >= 1"):
+            build_certificate(F, ell=12, bounds=(-1.0, 1.0), restarts=0)
 
 
 def test_halved_delta_fails_margin():

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import json
 import math
 
@@ -13,16 +14,23 @@ from spheresos.cli import main
 from spheresos.poly import MatPoly, Poly
 
 
-@pytest.fixture
-def quartic_file(tmp_path):
-    rng = np.random.default_rng(21)
-    import itertools
-
-    exps = [e for e in itertools.product(range(5), repeat=3) if sum(e) == 4]
-    p = Poly(3, 4, {e: rng.standard_normal() for e in exps})
-    path = tmp_path / "quartic.json"
+def _quartic_file(path, d, seed):
+    rng = np.random.default_rng(seed)
+    exps = [e for e in itertools.product(range(5), repeat=d) if sum(e) == 4]
+    p = Poly(d, 4, {e: rng.standard_normal() for e in exps})
     path.write_text(json.dumps(p.to_dict()))
     return path, p
+
+
+@pytest.fixture
+def quartic_file(tmp_path):
+    return _quartic_file(tmp_path / "quartic.json", 3, 21)
+
+
+@pytest.fixture
+def quartic_d5_file(tmp_path):
+    # a quartic on S^4, where no cubature rule fits and the witness is searched
+    return _quartic_file(tmp_path / "quartic_d5.json", 5, 22)
 
 
 @pytest.fixture
@@ -228,13 +236,10 @@ def test_mismatched_certificate_json_exits_1(tmp_path, capsys, quartic_file, mon
     assert "malformed certificate JSON" in capsys.readouterr().err
 
 
-def test_certify_tolerance_checks_witness_once(tmp_path, quartic_file, monkeypatch):
-    # --tol goes to build_certificate's own checks: one decomposition and two
-    # searches (the range and the witness), as without it
+def _count_calls(monkeypatch, names):
     import spheresos.certificate as cert_mod
 
-    path, _ = quartic_file
-    calls = {"decompose": 0, "sup_norm_sphere": 0}
+    calls = dict.fromkeys(names, 0)
     for name in calls:
         func = getattr(cert_mod, name)
 
@@ -243,10 +248,63 @@ def test_certify_tolerance_checks_witness_once(tmp_path, quartic_file, monkeypat
             return _func(*args, **kwargs)
 
         monkeypatch.setattr(cert_mod, name, counted)
+    return calls
+
+
+def test_certify_tolerance_checks_witness_once(tmp_path, quartic_d5_file, monkeypatch):
+    # --tol goes to build_certificate's own checks: one decomposition, one
+    # range search and, with no cubature rule at d = 5, one witness search,
+    # as without it
+    path, _ = quartic_d5_file
+    calls = _count_calls(monkeypatch, ("decompose", "sup_norm_sphere", "min_sphere"))
     out = tmp_path / "cert.json"
     assert main(["--tol", "1e-6", "certify", "--input", str(path), "--ell", "12",
                  "--out", str(out)]) == 0
-    assert calls == {"decompose": 1, "sup_norm_sphere": 2}
+    assert calls == {"decompose": 1, "sup_norm_sphere": 1, "min_sphere": 1}
+
+
+def test_certify_within_budget_searches_only_the_range(tmp_path, quartic_file, monkeypatch,
+                                                       capsys):
+    # at d = 3 the witness is read on a 480-node rule: the range search is
+    # the only search
+    path, _ = quartic_file
+    calls = _count_calls(monkeypatch, ("decompose", "sup_norm_sphere", "min_sphere"))
+    out = tmp_path / "cert.json"
+    assert main(["--tol", "1e-6", "certify", "--input", str(path), "--ell", "12",
+                 "--out", str(out)]) == 0
+    assert calls == {"decompose": 1, "sup_norm_sphere": 1, "min_sphere": 0}
+    assert "witness_check=cubature(480 nodes, degree 28)" in capsys.readouterr().err
+    verification = json.loads(out.read_text())["certificate"]["verification"]
+    assert verification["witness_check"] == "cubature"
+    assert verification["witness_rule"] == {"nodes": 480, "degree": 28}
+
+
+def test_verify_within_budget_ignores_seed_and_restarts(tmp_path, quartic_file):
+    path, _ = quartic_file
+    cert_path = tmp_path / "cert.json"
+    assert main(["certify", "--input", str(path), "--ell", "12", "--out", str(cert_path)]) == 0
+    texts = set()
+    for seed, restarts in (("0", "64"), ("7", "64"), ("0", "2")):
+        out = tmp_path / f"verify-{seed}-{restarts}.json"
+        assert main(["--seed", seed, "verify", "--input", str(path), "--cert", str(cert_path),
+                     "--restarts", restarts, "--out", str(out)]) == 0
+        # the artifact records the seed it was given; the report is the same
+        texts.add(json.dumps(json.loads(out.read_text())["verification"], sort_keys=True))
+    assert len(texts) == 1
+
+
+@pytest.mark.parametrize("which", ["quartic_file", "quartic_d5_file"])
+def test_zero_restarts_exit_1(tmp_path, capsys, request, which):
+    # rejected on the cubature path (d = 3) as on the search path (d = 5)
+    path, _ = request.getfixturevalue(which)
+    cert_path = tmp_path / "cert.json"
+    assert main(["certify", "--input", str(path), "--ell", "12", "--restarts", "0"]) == 1
+    assert "restarts must be >= 1" in capsys.readouterr().err
+    assert main(["certify", "--input", str(path), "--ell", "12", "--out", str(cert_path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--input", str(path), "--cert", str(cert_path),
+                 "--restarts", "0"]) == 1
+    assert "restarts must be >= 1" in capsys.readouterr().err
 
 
 def test_sidecars_record_every_setting(tmp_path, quartic_file):

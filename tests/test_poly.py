@@ -11,6 +11,7 @@ from spheresos.poly import (
     Poly,
     SpherePoint,
     from_dict,
+    min_sphere,
     sample_sphere,
     sample_sphere_array,
     sup_norm_sphere,
@@ -407,6 +408,27 @@ def test_sup_norm_of_negation_mirrors(F):
     assert b.max_est == pytest.approx(-a.min_est, rel=1e-12)
     assert b.min_est == pytest.approx(-a.max_est, rel=1e-12)
     assert b.converged_restarts == a.converged_restarts
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("F", _sup_norm_cases(), ids=["quartic", "matrix_3x3"])
+def test_min_sphere_matches_two_sided_minimum(F, seed):
+    # the descent rows alone follow the same paths as in the two-sided
+    # batch; only the rounding floor's scale can differ
+    both = sup_norm_sphere(F, restarts=16, seed=seed)
+    low = min_sphere(F, restarts=16, seed=seed)
+    assert low.min_est == pytest.approx(both.min_est, rel=1e-12, abs=1e-14)
+    assert low.restarts == 16
+    assert both.converged_restarts <= low.converged_restarts <= 16
+    assert 0 <= low.floor_restarts <= low.converged_restarts
+    at = F.eval(low.argmin.coords)
+    lowest = float(np.linalg.eigvalsh(at)[0]) if isinstance(F, MatPoly) else at
+    assert lowest == pytest.approx(low.min_est, rel=1e-12, abs=1e-14)
+
+
+def test_min_sphere_rejects_no_restarts():
+    with pytest.raises(ValueError, match="restarts must be >= 1"):
+        min_sphere(Poly.norm_squared(3), restarts=0)
 
 
 # -- cheaper search steps ----------------------------------------------------
