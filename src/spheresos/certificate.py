@@ -33,6 +33,7 @@ rho.slack, so construction, reloading and the margin check agree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -172,6 +173,9 @@ class Certificate:
                 f"malformed certificate JSON: parts disagree: d = {spec.d}, ell = {spec.ell}, "
                 f"n = {spec.n}, e shape {spec.e.shape}, lambdas shape {spec.lambdas.shape}, "
                 f"H n = {H.n}, H parts (d, degree) {parts}")
+        if not (np.isfinite([*norm, delta]).all() and norm[1] > norm[0]):
+            raise ValueError(f"malformed certificate JSON: need finite delta = {delta!r}, "
+                             f"m, M = {norm} with M > m")
         spec.rho_value, spec.delta = slack(spec.n, spec.lambdas)
         return cls(spec=spec, delta=delta, normalization=norm, H=H)
 
@@ -350,9 +354,8 @@ def _witness_rule(d: int, degree: int) -> np.ndarray | None:
     """Nodes of sphere_quadrature(d, degree) when it is supported and has at
     most WITNESS_NODE_BUDGET of them (counted before it is built), else
     None."""
-    if not (2 <= d <= 4 and degree <= 60):
-        return None
-    if (degree + 2) * ((degree + 1) // 2 + 2) ** (d - 2) > WITNESS_NODE_BUDGET:
+    shape = _rule_shape(d, degree)
+    if shape is None or math.prod(shape) > WITNESS_NODE_BUDGET:
         return None
     return _cached_nodes(d, degree)
 
@@ -380,6 +383,16 @@ def reznick_lambdas(d: int, ell: int, max_k: int) -> np.ndarray:
     return out / out[0]
 
 
+def _rule_shape(d: int, degree: int) -> list[int] | None:
+    """Node counts per coordinate of sphere_quadrature(d, degree): equal
+    angles on the circle, then Gauss nodes for each of the d - 2 polar
+    coordinates; the rule has their product of nodes.  None where the rule
+    is not supported (d outside {2, 3, 4} or degree outside 0..60)."""
+    if d not in (2, 3, 4) or not 0 <= degree <= 60:
+        return None
+    return [degree + 2] + [(degree + 1) // 2 + 2] * (d - 2)
+
+
 def sphere_quadrature(d: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Product quadrature on S^{d-1} exact for polynomials up to ``degree``.
 
@@ -387,19 +400,18 @@ def sphere_quadrature(d: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
     summing to 1.  Built recursively: equal angles on the circle, then a
     Gauss rule in the polar coordinate against the matching ultraspherical
     weight for each added dimension.  Supported for d in {2, 3, 4}."""
-    if d not in (2, 3, 4):
-        raise ValueError(f"sphere quadrature supported for d in {{2, 3, 4}}, got {d}")
-    if degree < 0 or degree > 60:
-        raise ValueError("degree must be in 0..60")
+    shape = _rule_shape(d, degree)
+    if shape is None:
+        raise ValueError(f"sphere quadrature supports d in {{2, 3, 4}} and degree 0..60, "
+                         f"got d = {d}, degree = {degree}")
+    count = shape[-1]
     if d == 2:
-        count = degree + 2
         angles = 2.0 * np.pi * np.arange(count) / count
         pts = np.stack([np.cos(angles), np.sin(angles)], axis=1)
         return pts, np.full(count, 1.0 / count)
     sub_pts, sub_w = sphere_quadrature(d - 1, degree)
     basis = GegenbauerBasis(d, 0)
-    nz = (degree + 1) // 2 + 2
-    z, wz = basis.gauss_rule(nz)
+    z, wz = basis.gauss_rule(count)
     radial = np.sqrt(np.maximum(1.0 - z**2, 0.0))
     pts = np.empty((len(z) * len(sub_pts), d))
     w = np.empty(len(z) * len(sub_pts))

@@ -151,17 +151,20 @@ def _cmd_certify(args) -> int:
     payload = {"seed": args.seed, "ell": args.ell, "certificate": cert.to_dict()}
     _write_artifact(args, _json_text(payload))
     rep = cert.verification
-    if rep.witness_check == "cubature":
-        how = f"cubature({rep.witness_nodes} nodes, degree {rep.witness_rule_degree})"
-    else:
-        how = f"multistart({rep.witness_restarts_converged}/{rep.witness_restarts} converged)"
     print(
         f"certify: n={cert.spec.n} ell={cert.spec.ell} delta={cert.delta:.6g} "
-        f"witness_min={rep.witness_min:.3e} witness_check={how} "
+        f"witness_min={rep.witness_min:.3e} witness_check={_witness_how(rep)} "
         f"margin={rep.eq15_margin:.3e} passed={rep.passed}",
         file=sys.stderr,
     )
     return 0 if rep.passed else 2
+
+
+def _witness_how(rep) -> str:
+    """How a report decided witness positivity, for the stderr summaries."""
+    if rep.witness_check == "cubature":
+        return f"cubature({rep.witness_nodes} nodes, degree {rep.witness_rule_degree})"
+    return f"multistart({rep.witness_restarts_converged}/{rep.witness_restarts} converged)"
 
 
 def _cmd_verify(args) -> int:
@@ -191,15 +194,13 @@ def _cmd_qsep(args) -> int:
     M = q_mod.QOperator.from_dict(_load_json(args.op))
     _check_cap(args.ell + 2)
     out = q_mod.bss_gap_certificate(M, ell=args.ell, restarts=args.restarts, seed=args.seed)
-    payload = {
-        "seed": args.seed,
-        "h_lower": out["h_lower"],
-        "h_certified_upper": out["h_certified_upper"],
-        "gamma": out["gamma"],
-        "certificate": out["cert"].to_dict(),
-    }
-    _write_artifact(args, _json_text(payload))
-    return 0 if out["cert"].verification.passed else 2
+    low, up, rep = out["h_lower"], out["h_certified_upper"], out["cert"].verification
+    _write_artifact(args, _json_text({"seed": args.seed, "h_lower": low, "h_certified_upper": up,
+                                      "gamma": out["gamma"], "certificate": out["cert"].to_dict()}))
+    gap = up / low - 1.0 if low > 0 else math.inf
+    print(f"qsep: h_lower={low:.9g} h_certified_upper={up:.9g} gap={gap:.3e} "
+          f"witness_check={_witness_how(rep)} passed={rep.passed}", file=sys.stderr)
+    return 0 if rep.passed else 2
 
 
 def _cmd_basis_debug(args) -> int:

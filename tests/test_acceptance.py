@@ -39,7 +39,7 @@ from _bessel import first_bessel_zero
 RHO2_BAND = (0.35, 1.00)        # measured range [0.4186, 0.8898]
 SLOPE_OPT = (1.7, 2.3)          # measured 1.82 .. 1.86
 SLOPE_REZNICK = (0.7, 1.3)      # measured 0.944 .. 0.945
-DPS_GAP_CONSTANT = 3.5          # measured max C = 2.78 over the 10(c) grid
+DPS_GAP_CONSTANT = 1.62         # measured max C = 1.09 on the 10(c) grid, 1.28 on random PSD
 
 
 def _report(num: int, passed: bool, elapsed: float, detail: str = ""):

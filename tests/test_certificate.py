@@ -50,6 +50,20 @@ def test_sphere_quadrature_unsupported_dimension():
         sphere_quadrature(3, 61)
 
 
+def test_rule_shape_counts_sphere_quadrature_nodes():
+    # the witness check's node budget reads the same shape the rule is built
+    # from
+    import math
+
+    from spheresos.certificate import _rule_shape
+
+    for d in (2, 3, 4):
+        for degree in range(61):
+            shape = _rule_shape(d, degree)
+            assert len(shape) == d - 1
+            assert math.prod(shape) == len(sphere_quadrature(d, degree)[0]), (d, degree)
+
+
 def test_sphere_quadrature_exactness_random_poly():
     # product rule integrates a random degree-6 polynomial as well as a much
     # denser rule does

@@ -218,7 +218,8 @@ def test_non_object_certificate_json_exits_1(tmp_path, capsys, quartic_file, tex
     lambda c: c["spec"].update(lambdas=c["spec"]["lambdas"][:1]),
     lambda c: c["spec"].update(e=c["spec"]["e"][:-1]),
     lambda c: c["spec"].update(ell=12),
-], ids=["short_lambdas", "short_e", "raised_ell"])
+    lambda c: c["normalization"].update(M=c["normalization"]["m"]),
+], ids=["short_lambdas", "short_e", "raised_ell", "empty_range"])
 def test_mismatched_certificate_json_exits_1(tmp_path, capsys, quartic_file, monkeypatch, edit):
     # parts of a certificate that disagree are refused when it is read,
     # before any check runs
@@ -393,6 +394,17 @@ def test_qsep_maxent(tmp_path, maxent_file):
     assert payload["h_lower"] == pytest.approx(0.5, abs=1e-6)
     assert payload["h_certified_upper"] >= 0.5
     assert payload["certificate"]["verification"]["passed"]
+
+
+def test_qsep_prints_sandwich_and_witness_check(tmp_path, maxent_file, capsys):
+    out = tmp_path / "gap.json"
+    assert main(["qsep", "--op", str(maxent_file), "--ell", "8", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    low, up = payload["h_lower"], payload["h_certified_upper"]
+    err = capsys.readouterr().err
+    assert err.startswith(f"qsep: h_lower={low:.9g} h_certified_upper={up:.9g} "
+                          f"gap={up / low - 1.0:.3e} ")
+    assert "witness_check=cubature(2420 nodes, degree 18) passed=True" in err
 
 
 def test_qsep_check_extension(tmp_path):

@@ -267,8 +267,8 @@ def test_hermitian_form_is_real():
 
 
 def test_gap_slack_monotone_in_gamma():
-    # the gamma bisection in the gap certificate relies on this: a slack
-    # below h_Sep fails witness positivity, one above verifies
+    # the certificate of (gamma I - P)/gamma fails witness positivity for a
+    # gamma below h_Sep and verifies for one above it
     from spheresos.certificate import build_certificate
     from spheresos.poly import MatPoly
 
@@ -369,27 +369,29 @@ def _record_attempts(monkeypatch, fail_all=False):
     return passed
 
 
-def test_bss_gap_bisects_below_lambda_max(monkeypatch):
-    # h_lower at 0.8 h_Sep = 0.4 makes the first gamma fail; the bisection
-    # between it and lambda_max(M) = 1 finds a passing gamma
+def test_bss_gap_bound_does_not_depend_on_h_lower(monkeypatch):
+    # gamma is lambda_max(M), not a value read off h_lower: an
+    # underestimated h_lower leaves the bound's bits alone, and one
+    # certificate is built
+    M = _maxent(2)
+    ref = bss_gap_certificate(M, ell=16, restarts=8, seed=0)
     _underestimated_hsep(monkeypatch, 0.8)
     passed = _record_attempts(monkeypatch)
-    out = bss_gap_certificate(_maxent(2), ell=16, restarts=8, seed=0)
+    out = bss_gap_certificate(M, ell=16, restarts=8, seed=0)
     assert out["h_lower"] == pytest.approx(0.4)
-    # the first gamma, the lambda_max end, then 30 bisection steps
-    assert len(passed) == 32 and passed[:2] == [False, True]
-    assert out["cert"].verification.passed
-    assert out["h_lower"] * (1 + 1e-6) < out["gamma"] <= 1.0
+    assert passed == [True]
+    assert out["gamma"] == pytest.approx(1.0)
+    assert out["h_certified_upper"] == ref["h_certified_upper"]
     assert out["h_certified_upper"] >= 0.5
 
 
 def test_bss_gap_failed_bracket_end_returns_failed_certificate(monkeypatch):
-    # when even gamma = lambda_max(M) fails, the failed certificate comes
-    # back instead of an exception
+    # when the certificate at gamma = lambda_max(M) fails, it comes back
+    # instead of an exception, and no other gamma is tried
     _underestimated_hsep(monkeypatch, 0.8)
     passed = _record_attempts(monkeypatch, fail_all=True)
     out = bss_gap_certificate(_maxent(2), ell=8, restarts=4, seed=0)
-    assert passed == [False, False]
+    assert passed == [False]
     assert not out["cert"].verification.passed
     assert out["gamma"] == pytest.approx(1.0)
 
@@ -399,11 +401,30 @@ def test_bss_gap_identity_trivial():
         QOperator.bipartite(np.eye(4, dtype=complex), 2, 2), ell=8, restarts=4, seed=1
     )
     assert out["h_lower"] == pytest.approx(1.0, abs=1e-9)
-    # the witness polynomial is essentially zero: bound is 1 + rho2(4, 8)
-    from spheresos.rho import rho2
+    # K^{-1} fixes |y|^2 I, so the node bound is h_Sep = 1 itself; the
+    # theorem's slack rho2(4, 8) no longer enters
+    assert out["h_certified_upper"] == 1.0
 
-    expected = (1 + 1e-6) * (1.0 + rho2(4, 8)[0])
-    assert out["h_certified_upper"] == pytest.approx(expected, rel=1e-9)
+
+def test_bss_gap_upper_is_node_maximum():
+    # within the node budget the bound is max_i lambda_max(K^{-1} P(y_i)) on
+    # the rule exact to degree 2 ell + 2 = 18, computed here without the
+    # certificate
+    from spheresos.certificate import sphere_quadrature
+    from spheresos.harmonic import decompose
+    from spheresos.rho import kernel_for
+
+    rng = np.random.default_rng(21)
+    M = QOperator.bipartite(_rand_psd(rng, 4), 2, 2)
+    out = bss_gap_certificate(M, ell=8, restarts=8, seed=0)
+    assert out["cert"].verification.witness_check == "cubature"
+    inverse = decompose(realify(M))
+    inverse.parts[1] = inverse.parts[1] * (1.0 / kernel_for(4, 8, 1).lambdas[0])
+    nodes, _ = sphere_quadrature(4, 18)
+    values = inverse.reconstruct().eval_many(nodes)
+    expected = float(np.linalg.eigvalsh(values)[:, -1].max())
+    assert out["h_certified_upper"] == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert hsep_lower(M, restarts=512, seed=1)[0] <= out["h_certified_upper"]
 
 
 def test_bss_gap_rejects_non_block_positive():
