@@ -124,8 +124,10 @@ class Certificate:
     verification: VerificationReport | None = None
 
     def certified_upper_bound(self) -> float:
-        """Upper bound on the original input implied by the certificate:
-        m + (M - m) (1 + delta)."""
+        """m + (M - m) (1 + delta).  This bounds the original input from
+        above only if the stored M is a true maximum, which the multistart
+        range search does not prove.  The witness implies the lower bound
+        m + (M - m) (witness_min - delta), witness_min from the report."""
         m, M = self.normalization
         return m + (M - m) * (1.0 + self.delta)
 
@@ -218,6 +220,10 @@ def build_certificate(
         raise ValueError("input degree must be even")
     if ell < 1:
         raise ValueError("ell must be >= 1")
+    if delta is not None and not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta!r}")
+    if bounds is not None and not np.isfinite(bounds).all():
+        raise ValueError(f"bounds must be finite, got {bounds!r}")
     n = F.degree // 2
     d = F.d
 
@@ -332,19 +338,16 @@ def _check(cert: Certificate, G, targets: list, restarts: int, seed: int,
     if spec.skipped_directions:
         notes.append(f"{spec.skipped_directions} kernel directions skipped")
 
+    checks = {"kernel": kernel_ok, "funk_hecke": funk_hecke_ok,
+              "witness_positive": witness_ok, "margin": margin_ok}
     return VerificationReport(
-        passed=kernel_ok and funk_hecke_ok and witness_ok and margin_ok,
+        passed=all(checks.values()),
         kernel_norm_error=e_norm_err,
         lambda_recompute_error=lam_err,
         funk_hecke_residual=fh_resid,
         witness_min=witness_min,
         eq15_margin=margin,
-        checks={
-            "kernel": kernel_ok,
-            "funk_hecke": funk_hecke_ok,
-            "witness_positive": witness_ok,
-            "margin": margin_ok,
-        },
+        checks=checks,
         notes=notes,
         **how,
     )

@@ -10,7 +10,8 @@ back-substitution.  Scalar and matrix polynomials share the Laplacian,
 decomposes both (a matrix polynomial entry by entry, through the same
 operations).  Whether a decomposition is matrix-valued is read from its
 parts, and its JSON parts reload through poly.from_dict, which tells the
-two apart by their own keys.
+two apart by their own keys.  A decomposition holds the parts only;
+reconstruct() sums them back for a caller that needs the input again.
 """
 
 from __future__ import annotations
@@ -59,14 +60,10 @@ def b_constant(n: int) -> float:
 
 @dataclass
 class HarmonicDecomp:
-    """Harmonic parts f_{2k}, k = 0..n, of a degree-2n polynomial.
-
-    residual is the max-coefficient error of reconstructing the input from
-    the parts, relative to the input's largest coefficient."""
+    """Harmonic parts f_{2k}, k = 0..n, of a degree-2n polynomial."""
 
     n: int
     parts: list = field(repr=False)
-    residual: float = 0.0
 
     @property
     def matrix(self) -> bool:
@@ -110,10 +107,7 @@ def decompose(f: Poly | MatPoly) -> HarmonicDecomp:
         for k in range(j):
             acc = acc - r_coefficient(n, f.d, m, k) * parts[k].mul_norm_power(j - k)
         parts[j] = acc * (1.0 / r_coefficient(n, f.d, m, j))
-    decomp = HarmonicDecomp(n=n, parts=parts)
-    scale = max(f.max_abs_coef(), 1.0)
-    decomp.residual = (decomp.reconstruct() - f).max_abs_coef() / scale
-    return decomp
+    return HarmonicDecomp(n=n, parts=parts)
 
 
 # Kept as a name of its own for callers that import it.

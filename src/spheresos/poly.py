@@ -25,6 +25,7 @@ to None.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -183,6 +184,8 @@ class Poly:
             if sum(exps) != degree:
                 raise ValueError(f"multi-index {exps} sums to {sum(exps)}, expected {degree}")
             coef = float(coef)
+            if not math.isfinite(coef):
+                raise ValueError(f"coefficient {coef!r} of {exps} is not finite")
             if coef != 0.0:
                 clean[exps] = clean.get(exps, 0.0) + coef
         self.d = d
@@ -223,12 +226,7 @@ class Poly:
 
     @classmethod
     def norm_squared(cls, d: int) -> "Poly":
-        terms = {}
-        for i in range(d):
-            e = [0] * d
-            e[i] = 2
-            terms[tuple(e)] = 1.0
-        return cls(d, 2, terms)
+        return cls.constant(d, 1.0).mul_norm_power(1)
 
     # -- ring operations ----------------------------------------------------
 

@@ -48,6 +48,10 @@ class QOperator:
             raise ValueError(
                 f"matrix shape {self.mat.shape} does not match dims product {total}"
             )
+        # NaN fails every comparison, so the Hermitian check alone lets it through.
+        if not np.isfinite(self.mat).all():
+            i, j = np.argwhere(~np.isfinite(self.mat))[0]
+            raise ValueError(f"matrix entry ({i}, {j}) = {self.mat[i, j]} is not finite")
         herm_err = float(np.abs(self.mat - self.mat.conj().T).max())
         if herm_err > 1e-12:
             raise ValueError(f"matrix not Hermitian: deviation {herm_err:.3e}")
@@ -186,26 +190,17 @@ def check_dps_conditions(ext: QOperator, rho: QOperator, tol: float = 1e-8) -> d
     big_pi = np.kron(np.eye(ext.dims[0]), pi.mat)
     sym_err = float(np.linalg.norm(big_pi @ ext.mat @ big_pi - ext.mat))
 
-    ppt_margins = []
+    ppt = []
     for s in range(1, ell + 1):
-        pt = partial_transpose(ext, [f"B{i}" for i in range(1, s + 1)])
-        ppt_margins.append(pt.min_eigenvalue())
-
-    return {
+        margin = partial_transpose(ext, [f"B{i}" for i in range(1, s + 1)]).min_eigenvalue()
+        ppt.append({"s": s, "margin": margin, "ok": margin >= -tol})
+    checks = {
         "positivity": {"margin": pos_margin, "ok": pos_margin >= -tol},
         "reduction": {"margin": red_err, "ok": red_err <= tol},
         "symmetry": {"margin": sym_err, "ok": sym_err <= tol},
-        "ppt": [
-            {"s": s + 1, "margin": m, "ok": m >= -tol}
-            for s, m in enumerate(ppt_margins)
-        ],
-        "passed": (
-            pos_margin >= -tol
-            and red_err <= tol
-            and sym_err <= tol
-            and all(m >= -tol for m in ppt_margins)
-        ),
     }
+    passed = all(c["ok"] for c in [*checks.values(), *ppt])
+    return {**checks, "ppt": ppt, "passed": passed}
 
 
 def _bipartite_blocks(M: QOperator) -> tuple[np.ndarray, int, int]:
@@ -230,16 +225,17 @@ def hsep_lower(M: QOperator, restarts: int = 32, seed: int = 0) -> tuple[float, 
     start.  All restarts run as one batch (one stacked eigh per half-step),
     each frozen once it stagnates, so every restart follows the path it
     would alone; the best product pair is returned with its value."""
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
     T, d_a, d_b = _bipartite_blocks(M)
     rng = np.random.default_rng(seed)
-    R = max(restarts, 1)
     # per restart: real then imaginary part, as drawn one start at a time
-    Z = rng.standard_normal((R, 2, d_b))
+    Z = rng.standard_normal((restarts, 2, d_b))
     Y = Z[:, 0] + 1j * Z[:, 1]
     Y /= np.linalg.norm(Y, axis=1)[:, None]
-    X = np.empty((R, d_a), dtype=complex)
-    val = np.full(R, -np.inf)
-    active = np.arange(R)
+    X = np.empty((restarts, d_a), dtype=complex)
+    val = np.full(restarts, -np.inf)
+    active = np.arange(restarts)
     for _ in range(500):
         y = Y[active]
         _, V = np.linalg.eigh(np.einsum("rj,ijkl,rl->rik", y.conj(), T, y))
@@ -285,15 +281,7 @@ def realify(M: QOperator) -> MatPoly:
     # Realify each block as [[R, -S], [S, R]] and keep its symmetric part.
     real = np.block([[coeff.real, -coeff.imag], [coeff.imag, coeff.real]])
     sym = 0.5 * (real + real.swapaxes(-1, -2))
-
-    # Monomials y~_a y~_b, a <= b, in the order the blocks T[:, j, :, l]
-    # reach them row-major over (j, l) (c c, e e, then the two mixed ones):
-    # Laplacian sums follow the term order, so certificate bits depend on it.
     a, b = np.triu_indices(dim)
-    j, l = a % d_b, b % d_b
-    pos = np.where(a // d_b == b // d_b, a // d_b, 2 + (j > l))
-    order = np.lexsort((pos, np.maximum(j, l), np.minimum(j, l)))
-    a, b = a[order], b[order]
     unit = np.eye(dim, dtype=int)
     monomials = [tuple(e) for e in (unit[a] + unit[b]).tolist()]
 

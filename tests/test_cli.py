@@ -280,6 +280,25 @@ def test_certify_within_budget_searches_only_the_range(tmp_path, quartic_file, m
     assert verification["witness_rule"] == {"nodes": 480, "degree": 28}
 
 
+def test_certify_reconstructs_the_witness_once(tmp_path, quartic_file, monkeypatch):
+    # the cubature check sums the witness parts once; decompose keeps no
+    # reconstruction of its own
+    from spheresos.harmonic import HarmonicDecomp
+
+    calls = []
+    reconstruct = HarmonicDecomp.reconstruct
+
+    def counted(self):
+        calls.append(self)
+        return reconstruct(self)
+
+    monkeypatch.setattr(HarmonicDecomp, "reconstruct", counted)
+    path, _ = quartic_file
+    assert main(["certify", "--input", str(path), "--ell", "12",
+                 "--out", str(tmp_path / "cert.json")]) == 0
+    assert len(calls) == 1
+
+
 def test_verify_within_budget_ignores_seed_and_restarts(tmp_path, quartic_file):
     path, _ = quartic_file
     cert_path = tmp_path / "cert.json"
@@ -334,6 +353,34 @@ def test_certify_underfunded_delta_exits_2(tmp_path, quartic_file):
     rc = main(["certify", "--input", str(path), "--ell", "12",
                "--delta", "1e-6", "--out", str(tmp_path / "c.json")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_certify_non_finite_delta_exits_1(tmp_path, capsys, quartic_file, value):
+    path, _ = quartic_file
+    out = tmp_path / "c.json"
+    assert main(["certify", "--input", str(path), "--ell", "12", "--delta", value,
+                 "--out", str(out)]) == 1
+    assert f"delta must be finite, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_certify_non_finite_coefficient_exits_1(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    terms = [{"exp": [4, 0, 0], "coef": 1.0}, {"exp": [0, 2, 2], "coef": math.nan}]
+    path.write_text(json.dumps({"d": 3, "degree": 4, "terms": terms}))
+    assert main(["certify", "--input", str(path), "--ell", "12",
+                 "--out", str(tmp_path / "c.json")]) == 1
+    assert "coefficient nan of (0, 2, 2) is not finite" in capsys.readouterr().err
+
+
+def test_qsep_non_finite_operator_exits_1(tmp_path, capsys, maxent_file):
+    payload = json.loads(maxent_file.read_text())
+    payload["re"][1][2] = math.nan
+    path = tmp_path / "nan_op.json"
+    path.write_text(json.dumps(payload))
+    assert main(["qsep", "--op", str(path), "--ell", "8"]) == 1
+    assert "matrix entry (1, 2) = (nan+0j) is not finite" in capsys.readouterr().err
 
 
 def test_tolerance_override_flag(tmp_path, quartic_file):

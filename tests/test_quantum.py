@@ -183,6 +183,12 @@ def test_hsep_identity():
     assert val == pytest.approx(1.0, abs=1e-12)
 
 
+def test_hsep_lower_rejects_zero_restarts():
+    M = QOperator.bipartite(np.eye(4, dtype=complex), 2, 2)
+    with pytest.raises(ValueError, match="restarts must be >= 1"):
+        hsep_lower(M, restarts=0)
+
+
 def test_hsep_maximally_entangled():
     val, x, y = hsep_lower(_maxent(2), restarts=8, seed=1)
     assert val == pytest.approx(0.5, abs=1e-9)
