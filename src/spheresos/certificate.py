@@ -20,7 +20,9 @@ with at most WITNESS_NODE_BUDGET nodes, the positivity check reads the
 witness at its nodes: a "cubature" check, exact up to rounding and
 independent of the seed and restart count.  Beyond it the check is a
 "multistart" descent search for the witness minimum (poly.min_sphere),
-which is not certified.
+which is not certified.  The same split holds for build_certificate's
+range estimate, which is not certified on either side: a polish from the
+rule's best nodes within the budget, poly.sup_norm_sphere beyond it.
 
 Construction and verification share one computation of the targets (the
 harmonic parts of G + delta) and one set of checks, so a build decomposes
@@ -41,7 +43,7 @@ import numpy as np
 
 from .gegenbauer import GegenbauerBasis
 from .harmonic import HarmonicDecomp, decompose
-from .poly import MatPoly, Poly, min_sphere, sup_norm_sphere
+from .poly import MatPoly, Poly, _multistart, min_sphere, sup_norm_sphere
 from .rho import DegenerateKernelError, KernelSpec, kernel_for, kernel_lambdas, slack
 
 
@@ -60,6 +62,12 @@ TOL_MARGIN = 1e-10
 # (2,420 nodes: qsep with d_B = 2 at ell = 8) fits; one of degree 34
 # (12,996 nodes) took about 5x longer than the descent search it replaces.
 WITNESS_NODE_BUDGET = 4_000
+
+# Most rule nodes per side that build_certificate polishes into the range,
+# the best grid peaks.  On 1,800 seeded in-budget inputs, 4 missed a
+# 1,024-restart range 5 times, 8 and 16 never.  The 16 best nodes outright
+# missed twice: all sat on one of two near-equal maxima of a d = 4 quartic.
+RANGE_NODE_STARTS = 16
 
 
 @dataclass
@@ -122,11 +130,14 @@ class Certificate:
     normalization: tuple[float, float]
     H: HarmonicDecomp
     verification: VerificationReport | None = None
+    # How build_certificate found (m, M), for the CLI's summary; "none" when
+    # it searched nothing.  Not serialized.
+    range_search: str = "none"
 
     def certified_upper_bound(self) -> float:
         """m + (M - m) (1 + delta).  This bounds the original input from
-        above only if the stored M is a true maximum, which the multistart
-        range search does not prove.  The witness implies the lower bound
+        above only if the stored M is a true maximum, which the range
+        estimate does not prove.  The witness implies the lower bound
         m + (M - m) (witness_min - delta), witness_min from the report."""
         m, M = self.normalization
         return m + (M - m) * (1.0 + self.delta)
@@ -175,6 +186,12 @@ class Certificate:
                 f"malformed certificate JSON: parts disagree: d = {spec.d}, ell = {spec.ell}, "
                 f"n = {spec.n}, e shape {spec.e.shape}, lambdas shape {spec.lambdas.shape}, "
                 f"H n = {H.n}, H parts (d, degree) {parts}")
+        # A stored lambda <= 0 would make the slack infinite and the margin -inf.
+        for name, x, low in (("e", spec.e, -np.inf), ("lambdas", spec.lambdas, 0.0)):
+            bad = np.flatnonzero(~((x > low) & (x < np.inf)))
+            if bad.size:
+                raise ValueError(f"malformed certificate JSON: {name}[{bad[0]}] = "
+                                 f"{float(x[bad[0]])!r}, need finite e and lambdas > 0")
         if not (np.isfinite([*norm, delta]).all() and norm[1] > norm[0]):
             raise ValueError(f"malformed certificate JSON: need finite delta = {delta!r}, "
                              f"m, M = {norm} with M > m")
@@ -206,8 +223,13 @@ def build_certificate(
     """Certify that (F - m)/(M - m) + delta is L-SOS on the sphere.
 
     F must be homogeneous of even degree 2n.  When bounds is omitted the
-    range [m, M] on the sphere is estimated by multistart optimization (not
-    certified); delta defaults to the theorem value (B_{2n}/2) rho_{2n}(d, L).
+    range [m, M] on the sphere is estimated, not certified.  Where the
+    witness check reads a rule of degree 2 ell + 2n (see _witness_rule), F
+    is evaluated at its nodes, and on each side the best of the nodes that
+    beat their grid neighbours (at most RANGE_NODE_STARTS) are polished by
+    one ascent batch, so restarts and seed play no part in the range;
+    elsewhere the estimate is sup_norm_sphere's multistart search.  delta
+    defaults to the theorem value (B_{2n}/2) rho_{2n}(d, L).
     A constant (n = 0) takes the constant kernel q = 1 and is certified as
     F + delta with normalization (0, 1); an input constant on the sphere is
     normalized by (m, m + 1).  The returned certificate targets the
@@ -227,14 +249,19 @@ def build_certificate(
     n = F.degree // 2
     d = F.d
 
+    range_search, degree = "none", 2 * (ell + n)
     if n == 0:
         normalization = (0.0, 1.0)
     else:
-        if bounds is None:
+        if bounds is not None:
+            m, M = float(bounds[0]), float(bounds[1])
+        elif (rule := _witness_rule(d, degree)) is not None:
+            m, M, (top, bottom) = _node_range(F, rule, _rule_shape(d, degree))
+            range_search = f"nodes({top}+{bottom} of {len(rule)})"
+        else:
             est = sup_norm_sphere(F, restarts=restarts, seed=seed)
             m, M = est.min_est, est.max_est
-        else:
-            m, M = float(bounds[0]), float(bounds[1])
+            range_search = f"multistart({est.converged_restarts}/{est.restarts} converged)"
         if M - m < 1e-12:
             # Constant on the sphere: the shifted polynomial vanishes there and
             # only the slack remains.
@@ -254,9 +281,38 @@ def build_certificate(
     G, targets = _targets(F, normalization, delta)
     parts = [t if k == 0 else t * (1.0 / spec.lambdas[k - 1]) for k, t in enumerate(targets)]
     H = HarmonicDecomp(n=n, parts=parts)
-    cert = Certificate(spec=spec, delta=delta, normalization=normalization, H=H)
+    cert = Certificate(spec=spec, delta=delta, normalization=normalization, H=H,
+                       range_search=range_search)
     cert.verification = _check(cert, G, targets, restarts, seed, tol_witness)
     return cert
+
+
+def _node_range(F: Poly | MatPoly, nodes: np.ndarray, shape: list[int]):
+    """(m, M) of F on the sphere (of its extreme eigenvalues, for a matrix)
+    from its values at the rule nodes, each side polished by one ascent
+    batch from its best RANGE_NODE_STARTS grid peaks; also the number of
+    rows polished per side."""
+    top = bottom = F.eval_many(nodes)
+    if isinstance(F, MatPoly):
+        w = np.linalg.eigvalsh(top)
+        top, bottom = w[:, -1], w[:, 0]
+    best = tuple(nodes[_grid_peaks(v, shape)[:RANGE_NODE_STARTS]] for v in (top, -bottom))
+    # sup_norm_sphere's iteration cap and gradient tolerance
+    (vmax, *_), (vmin, *_) = _multistart(F, best, (1.0, -1.0), 200, 1e-8)
+    return (float(min(vmin.min(), bottom.min())), float(max(vmax.max(), top.max())),
+            tuple(map(len, best)))
+
+
+def _grid_peaks(values: np.ndarray, shape: list[int]) -> np.ndarray:
+    """Indices of the nodes of sphere_quadrature's product grid (node counts
+    ``shape``, circle first) whose value is at least that of the next node
+    either way along each coordinate, best first.  The circle wraps around;
+    a polar coordinate does not."""
+    pad = [(1, 1)] * (len(shape) - 1) + [(0, 0)]
+    g = np.pad(values.reshape(shape[::-1]), pad, constant_values=-np.inf)
+    peak = np.logical_and.reduce([g >= np.roll(g, s, a) for a in range(g.ndim) for s in (1, -1)])
+    idx = np.flatnonzero(peak[(slice(1, -1),) * (g.ndim - 1)])
+    return idx[np.argsort(-values[idx])]
 
 
 def verify_certificate(

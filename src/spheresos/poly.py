@@ -666,21 +666,18 @@ def _ascend(value_grad, X0: np.ndarray, sign: np.ndarray, iters: int, grad_tol: 
     return X, small_grad, floor
 
 
-def _multistart(target: Poly | MatPoly, restarts: int, seed: int, iters: int,
-                grad_tol: float, signs: tuple[float, ...]) -> list[tuple]:
-    """_ascend from the same ``restarts`` start points once per side in
-    ``signs`` (+1 climbs to the maximum, -1 descends to the minimum), as one
-    batch of len(signs) * restarts rows.  Each step makes one gradient
-    evaluation and takes the values from it by Euler's identity; for a
-    matrix the ascent follows the extreme eigenvalue on the row's side,
-    whose gradient is v^T (dF/dx_a) v.  Returns, per side, the values at the
-    final points, evaluated once directly, the final points, whether each
-    row stopped before the iteration cap, and whether it stopped at the
-    rounding floor."""
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    X0 = sample_sphere_array(target.d, restarts, seed)
-    sign = np.repeat(signs, restarts)
+def _multistart(target: Poly | MatPoly, starts: tuple[np.ndarray, ...],
+                signs: tuple[float, ...], iters: int, grad_tol: float) -> list[tuple]:
+    """_ascend from each block of start rows in ``starts`` on the side of its
+    sign in ``signs`` (+1 climbs to the maximum, -1 descends to the minimum),
+    as one batch of all the rows.  Each step makes one gradient evaluation
+    and takes the values from it by Euler's identity; for a matrix the ascent
+    follows the extreme eigenvalue on the row's side, whose gradient is
+    v^T (dF/dx_a) v.  Returns, per block, the values at the final points,
+    evaluated once directly, the final points, whether each row stopped
+    before the iteration cap, and whether it stopped at the rounding floor."""
+    sizes = [len(X0) for X0 in starts]
+    sign = np.repeat(signs, sizes)
     matrix = isinstance(target, MatPoly)
 
     def value_grad(X, sign):
@@ -695,15 +692,19 @@ def _multistart(target: Poly | MatPoly, restarts: int, seed: int, iters: int,
             grads = np.einsum("naij,ni,nj->na", grads, vec, vec)
         return sign * vals, sign[:, None] * grads
 
-    X, small_grad, floor = _ascend(value_grad, np.tile(X0, (len(signs), 1)), sign, iters,
-                                   grad_tol)
+    X, small_grad, floor = _ascend(value_grad, np.concatenate(starts), sign, iters, grad_tol)
     vals = target.eval_many(X)
     if matrix:
         w = np.linalg.eigvalsh(vals)
         vals = np.where(sign > 0, w[:, -1], w[:, 0])
-    stopped = small_grad | floor
-    sides = [slice(i * restarts, (i + 1) * restarts) for i in range(len(signs))]
-    return [(vals[s], X[s], stopped[s], floor[s]) for s in sides]
+    cuts = np.cumsum(sizes)[:-1]
+    return list(zip(*(np.split(a, cuts) for a in (vals, X, small_grad | floor, floor))))
+
+
+def _start_rows(d: int, restarts: int, seed: int) -> np.ndarray:
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
+    return sample_sphere_array(d, restarts, seed)
 
 
 def _sphere_point(x: np.ndarray) -> SpherePoint:
@@ -726,8 +727,9 @@ def sup_norm_sphere(
     largest |value|).  The max and min searches run as one batch of
     2 * restarts rows (see _multistart); max_est / min_est are picked from
     the direct values at the final points.  Estimates are not certified."""
+    X0 = _start_rows(target.d, restarts, seed)
     (vmax, Xmax, done_max, floor_max), (vmin, Xmin, done_min, floor_min) = _multistart(
-        target, restarts, seed, iters, grad_tol, (1.0, -1.0))
+        target, (X0, X0), (1.0, -1.0), iters, grad_tol)
     done = done_max & done_min
     at_floor = done & (floor_max | floor_min)
 
@@ -770,7 +772,8 @@ def min_sphere(
     ``restarts`` descent rows from the same start points.  min_est agrees
     with sup_norm_sphere's up to the rounding floor, whose scale is now the
     largest |value| among the descents.  Not certified."""
-    ((vals, X, done, floor),) = _multistart(target, restarts, seed, iters, grad_tol, (-1.0,))
+    ((vals, X, done, floor),) = _multistart(
+        target, (_start_rows(target.d, restarts, seed),), (-1.0,), iters, grad_tol)
     imin = int(np.argmin(vals))
     converged_restarts = int(np.count_nonzero(done))
     return MinEstimate(

@@ -14,7 +14,7 @@ from spheresos.certificate import (
     sphere_quadrature,
     verify_certificate,
 )
-from spheresos.poly import MatPoly, Poly, min_sphere, sample_sphere_array
+from spheresos.poly import MatPoly, Poly, min_sphere, sample_sphere_array, sup_norm_sphere
 from spheresos.rho import rho2
 
 
@@ -176,6 +176,34 @@ def test_certificate_explicit_bounds_skip_estimation():
     vals = F.eval_many(X)
     cert = build_certificate(F, ell=6, bounds=(vals.min() - 1e-6, vals.max() + 1e-6))
     assert cert.verification.passed
+
+
+# (d, degree, matrix size k or None, ell): the in-budget certify families
+RANGE_FAMILIES = {
+    "quartic_d3": (3, 4, None, 12),
+    "quadratic_k2": (3, 2, 2, 8),
+    "quadratic_k5": (3, 2, 5, 8),
+    "sextic_d3": (3, 6, None, 12),
+    "quartic_d4": (4, 4, None, 8),
+}
+
+
+@pytest.mark.parametrize("family", sorted(RANGE_FAMILIES))
+def test_node_range_contains_multistart_range(family):
+    # the polish from the rule's grid peaks finds every extreme that 1,024
+    # random restarts find, on 200 dense inputs per family
+    from spheresos.certificate import _node_range, _rule_shape, _witness_rule
+
+    d, degree, k, ell = RANGE_FAMILIES[family]
+    rule_degree = 2 * ell + degree
+    rule, shape = _witness_rule(d, rule_degree), _rule_shape(d, rule_degree)
+    for seed in range(200):
+        rng = np.random.default_rng((200, seed))
+        F = rand_homog(d, degree, rng) if k is None else rand_matpoly(d, k, degree, rng)
+        ref = sup_norm_sphere(F, restarts=1024, seed=seed)
+        m, M, _ = _node_range(F, rule, shape)
+        tol = 1e-12 * (ref.max_est - ref.min_est)
+        assert M >= ref.max_est - tol and m <= ref.min_est + tol, seed
 
 
 def test_certificate_upper_bound_statement():
@@ -364,17 +392,29 @@ def test_halved_delta_fails_margin():
 
 
 def test_nonpositive_stored_lambda_fails_margin():
-    # A stored lambda_{2k} <= 0 makes the theorem slack infinite, however
-    # large delta is; the margin check reads that without dividing by zero.
+    # A lambda_{2k} <= 0 makes the theorem slack infinite, however large
+    # delta is; the margin check reads that without dividing by zero.
+    # from_dict refuses such a stored value, so it is set after loading.
     rng = np.random.default_rng(7)
     F = rand_homog(3, 4, rng)
     data = build_certificate(F, ell=12, seed=11).to_dict()
     data["delta"] = 100.0
     for lam2 in (-0.5, 0.0):
-        data["spec"]["lambdas"][0] = lam2
-        report = verify_certificate(F, Certificate.from_dict(data), seed=11)
+        cert = Certificate.from_dict(data)
+        cert.spec.lambdas[0] = lam2
+        report = verify_certificate(F, cert, seed=11)
         assert report.checks["margin"] is False
         assert report.eq15_margin == -np.inf
+
+
+@pytest.mark.parametrize("key, i, value", [
+    ("e", 3, float("nan")), ("lambdas", 1, float("inf")), ("lambdas", 0, -0.5), ("lambdas", 0, 0.0),
+])
+def test_from_dict_refuses_bad_kernel_values(key, i, value):
+    data = build_certificate(rand_homog(3, 4, np.random.default_rng(7)), ell=12).to_dict()
+    data["spec"][key][i] = value
+    with pytest.raises(ValueError, match=rf"{key}\[{i}\] = {value!r}"):
+        Certificate.from_dict(data)
 
 
 def test_wrong_dimension_rejected():

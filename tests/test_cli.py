@@ -128,7 +128,7 @@ def test_rho_table_json_solves_each_kernel_once(tmp_path, monkeypatch):
             "kernel": {"e": list(map(float, spec.e)),
                        "lambdas": list(map(float, spec.lambdas))},
         })
-    expected = json.dumps({"seed": 0, "rows": specs}, indent=2, sort_keys=True) + "\n"
+    expected = json.dumps({"seed": 0, "rows": specs}, sort_keys=True) + "\n"
 
     rho_mod.kernel_for.cache_clear()
     calls = {"rho2": 0, "rho4": 0}
@@ -252,7 +252,7 @@ def _count_calls(monkeypatch, names):
     return calls
 
 
-def test_certify_tolerance_checks_witness_once(tmp_path, quartic_d5_file, monkeypatch):
+def test_certify_tolerance_checks_witness_once(tmp_path, quartic_d5_file, monkeypatch, capsys):
     # --tol goes to build_certificate's own checks: one decomposition, one
     # range search and, with no cubature rule at d = 5, one witness search,
     # as without it
@@ -262,19 +262,23 @@ def test_certify_tolerance_checks_witness_once(tmp_path, quartic_d5_file, monkey
     assert main(["--tol", "1e-6", "certify", "--input", str(path), "--ell", "12",
                  "--out", str(out)]) == 0
     assert calls == {"decompose": 1, "sup_norm_sphere": 1, "min_sphere": 1}
+    assert "range=multistart(" in capsys.readouterr().err
 
 
 def test_certify_within_budget_searches_only_the_range(tmp_path, quartic_file, monkeypatch,
                                                        capsys):
-    # at d = 3 the witness is read on a 480-node rule: the range search is
-    # the only search
+    # at d = 3 the witness is read on a 480-node rule, and the range is a
+    # polish from its grid peaks (one antipodal pair at the top, three pairs
+    # at the bottom): no multistart search runs
     path, _ = quartic_file
     calls = _count_calls(monkeypatch, ("decompose", "sup_norm_sphere", "min_sphere"))
     out = tmp_path / "cert.json"
     assert main(["--tol", "1e-6", "certify", "--input", str(path), "--ell", "12",
                  "--out", str(out)]) == 0
-    assert calls == {"decompose": 1, "sup_norm_sphere": 1, "min_sphere": 0}
-    assert "witness_check=cubature(480 nodes, degree 28)" in capsys.readouterr().err
+    assert calls == {"decompose": 1, "sup_norm_sphere": 0, "min_sphere": 0}
+    err = capsys.readouterr().err
+    assert "witness_check=cubature(480 nodes, degree 28)" in err
+    assert "range=nodes(2+6 of 480)" in err
     verification = json.loads(out.read_text())["certificate"]["verification"]
     assert verification["witness_check"] == "cubature"
     assert verification["witness_rule"] == {"nodes": 480, "degree": 28}
@@ -311,6 +315,34 @@ def test_verify_within_budget_ignores_seed_and_restarts(tmp_path, quartic_file):
         # the artifact records the seed it was given; the report is the same
         texts.add(json.dumps(json.loads(out.read_text())["verification"], sort_keys=True))
     assert len(texts) == 1
+
+
+def test_certify_within_budget_range_ignores_seed_and_restarts(tmp_path, quartic_file):
+    path, _ = quartic_file
+    ranges = set()
+    for seed, restarts in itertools.product(range(5), ("1", "64")):
+        out = tmp_path / f"cert-{seed}-{restarts}.json"
+        assert main(["--seed", str(seed), "certify", "--input", str(path), "--ell", "12",
+                     "--restarts", restarts, "--out", str(out)]) == 0
+        norm = json.loads(out.read_text())["certificate"]["normalization"]
+        ranges.add((norm["m"], norm["M"]))
+    assert len(ranges) == 1
+
+
+def test_verify_refuses_nonpositive_stored_lambda(tmp_path, capsys, quartic_file):
+    # a stored lambda of 0 would make the slack infinite and the margin
+    # -Infinity, which strict JSON cannot hold; the certificate is refused
+    path, _ = quartic_file
+    cert_path, out = tmp_path / "cert.json", tmp_path / "verify.json"
+    assert main(["certify", "--input", str(path), "--ell", "12", "--out", str(cert_path)]) == 0
+    payload = json.loads(cert_path.read_text())
+    payload["certificate"]["spec"]["lambdas"][1] = 0.0
+    cert_path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["verify", "--input", str(path), "--cert", str(cert_path),
+                 "--out", str(out)]) == 1
+    assert "lambdas[1] = 0.0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("which", ["quartic_file", "quartic_d5_file"])
