@@ -28,7 +28,8 @@ Construction and verification share one computation of the targets (the
 harmonic parts of G + delta) and one set of checks, so a build decomposes
 its input once and checks the targets it has just built.  Scalar and matrix
 inputs take the same path: the identity embedding |x|^{2n} (times I for a
-matrix) is the input's own identity_like.
+matrix) is the input's own identity_like, and the range's and the witness
+check's node reads take its extremes (a matrix's extreme eigenvalues).
 The kernel comes from rho.kernel_for and every (rho, delta) pair from
 rho.slack, so construction, reloading and the margin check agree.
 """
@@ -43,7 +44,8 @@ import numpy as np
 
 from .gegenbauer import GegenbauerBasis
 from .harmonic import HarmonicDecomp, decompose
-from .poly import MatPoly, Poly, _multistart, min_sphere, sup_norm_sphere
+from .poly import (_ASCENT_GRAD_TOL, _ASCENT_ITERS, MatPoly, Poly, _multistart, min_sphere,
+                   sup_norm_sphere)
 from .rho import DegenerateKernelError, KernelSpec, kernel_for, kernel_lambdas, slack
 
 
@@ -80,41 +82,18 @@ class VerificationReport:
     eq15_margin: float
     checks: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
-    # How witness positivity was decided: "cubature" (witness_min is the
-    # minimum over the witness_nodes nodes of a rule exact to degree
-    # witness_rule_degree) or "multistart" (a descent search: restarts run,
-    # those that converged rather than stopping at the iteration cap, and
-    # those of the converged stopped at the rounding floor rather than by a
-    # small gradient).
+    # How witness positivity was decided, the other dict being None:
+    # "cubature", witness_rule {"nodes", "degree"} (witness_min is the minimum
+    # over the nodes of a rule exact to that degree), or "multistart",
+    # witness_search {"restarts", "converged", "floor"} (a descent search:
+    # restarts run, those that stopped before the iteration cap, and those of
+    # them stopped at the rounding floor rather than by a small gradient).
     witness_check: str = "multistart"
-    witness_nodes: int = 0
-    witness_rule_degree: int = 0
-    witness_restarts: int = 0
-    witness_restarts_converged: int = 0
-    witness_restarts_floor: int = 0
+    witness_rule: dict | None = None
+    witness_search: dict | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "passed": self.passed,
-            "kernel_norm_error": self.kernel_norm_error,
-            "lambda_recompute_error": self.lambda_recompute_error,
-            "funk_hecke_residual": self.funk_hecke_residual,
-            "witness_min": self.witness_min,
-            "eq15_margin": self.eq15_margin,
-            "checks": self.checks,
-            "notes": self.notes,
-            "witness_check": self.witness_check,
-        }
-        if self.witness_check == "cubature":
-            out["witness_rule"] = {"nodes": self.witness_nodes,
-                                   "degree": self.witness_rule_degree}
-        else:
-            out["witness_search"] = {
-                "restarts": self.witness_restarts,
-                "converged": self.witness_restarts_converged,
-                "floor": self.witness_restarts_floor,
-            }
-        return out
+        return {k: v for k, v in vars(self).items() if v is not None}
 
 
 @dataclass
@@ -292,13 +271,9 @@ def _node_range(F: Poly | MatPoly, nodes: np.ndarray, shape: list[int]):
     from its values at the rule nodes, each side polished by one ascent
     batch from its best RANGE_NODE_STARTS grid peaks; also the number of
     rows polished per side."""
-    top = bottom = F.eval_many(nodes)
-    if isinstance(F, MatPoly):
-        w = np.linalg.eigvalsh(top)
-        top, bottom = w[:, -1], w[:, 0]
+    bottom, top = F.extremes(nodes)
     best = tuple(nodes[_grid_peaks(v, shape)[:RANGE_NODE_STARTS]] for v in (top, -bottom))
-    # sup_norm_sphere's iteration cap and gradient tolerance
-    (vmax, *_), (vmin, *_) = _multistart(F, best, (1.0, -1.0), 200, 1e-8)
+    (vmax, *_), (vmin, *_) = _multistart(F, best, (1.0, -1.0), _ASCENT_ITERS, _ASCENT_GRAD_TOL)
     return (float(min(vmin.min(), bottom.min())), float(max(vmax.max(), top.max())),
             tuple(map(len, best)))
 
@@ -370,18 +345,14 @@ def _check(cert: Certificate, G, targets: list, restarts: int, seed: int,
     degree = 2 * (spec.ell + n)
     rule = _witness_rule(spec.d, degree)
     if rule is not None:
-        values = witness.eval_many(rule)
-        if cert.H.matrix:
-            values = np.linalg.eigvalsh(values)[:, 0]
-        witness_min = float(values.min())
-        how = {"witness_check": "cubature", "witness_nodes": len(rule),
-               "witness_rule_degree": degree}
+        witness_min = float(witness.extremes(rule)[0].min())
+        how = {"witness_check": "cubature", "witness_rule": {"nodes": len(rule), "degree": degree}}
     else:
         est = min_sphere(witness, restarts=restarts, seed=seed)
         witness_min = est.min_est
-        how = {"witness_check": "multistart", "witness_restarts": est.restarts,
-               "witness_restarts_converged": est.converged_restarts,
-               "witness_restarts_floor": est.floor_restarts}
+        how = {"witness_check": "multistart", "witness_search": {
+            "restarts": est.restarts, "converged": est.converged_restarts,
+            "floor": est.floor_restarts}}
         if not est.converged:
             capped = est.restarts - est.converged_restarts
             notes.append(f"witness positivity search hit iteration cap in {capped} "

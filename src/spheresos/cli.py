@@ -165,8 +165,8 @@ def _cmd_certify(args) -> int:
 def _witness_how(rep) -> str:
     """How a report decided witness positivity, for the stderr summaries."""
     if rep.witness_check == "cubature":
-        return f"cubature({rep.witness_nodes} nodes, degree {rep.witness_rule_degree})"
-    return f"multistart({rep.witness_restarts_converged}/{rep.witness_restarts} converged)"
+        return "cubature({nodes} nodes, degree {degree})".format(**rep.witness_rule)
+    return "multistart({converged}/{restarts} converged)".format(**rep.witness_search)
 
 
 def _cmd_verify(args) -> int:

@@ -20,7 +20,10 @@ the min search alone, on the same start points); their steps are
 Barzilai-Borwein (secant) steps on the sphere, which use the change in the
 Riemannian gradient as a curvature estimate and need no Hessian.  The compiled
 form is cached in ``_arrays``; code that edits ``terms`` in place resets it
-to None.
+to None.  Scalar and matrix polynomials differ only in the eigenvalue read,
+which each type owns: extremes() gives (low, high) per point (a scalar's
+value twice, a matrix's extreme eigenvalues) and _extreme_step() the value
+and gradient an ascent row follows; searches and node reads take one path.
 """
 
 from __future__ import annotations
@@ -345,6 +348,15 @@ class Poly:
         """Gradients at an (N, d) batch of points; returns shape (N, d)."""
         return self._compiled().gradient(_as_points(X, self.d))[:, :, 0]
 
+    def extremes(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(low, high) at an (N, d) batch: for a scalar, the values twice."""
+        values = self.eval_many(X)
+        return values, values
+
+    def _extreme_step(self, values, grads, sign):
+        """The value a row's ascent follows and its gradient: for a scalar, these."""
+        return values, grads
+
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -361,7 +373,11 @@ class Poly:
         try:
             d = int(data["d"])
             degree = int(data["degree"])
-            terms = {tuple(t["exp"]): float(t["coef"]) for t in data["terms"]}
+            terms = {}
+            for t in data["terms"]:
+                if (e := tuple(t["exp"])) in terms:
+                    raise ValueError(f"malformed polynomial JSON: exponent {list(e)} listed twice")
+                terms[e] = float(t["coef"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed polynomial JSON: {exc}") from exc
         return cls(d, degree, terms)
@@ -497,6 +513,20 @@ class MatPoly:
         out[:, :, cols, rows] = grads
         return out
 
+    def extremes(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(lowest, highest) eigenvalue at each point of an (N, d) batch."""
+        w = np.linalg.eigvalsh(self.eval_many(X))
+        return w[:, 0], w[:, -1]
+
+    def _extreme_step(self, values, grads, sign):
+        """Per row, the top eigenvalue of ``values`` (N, k, k) if its sign is
+        positive, else the bottom one, and its gradient v^T (dF/dx_a) v."""
+        w, V = np.linalg.eigh(values)
+        rows = np.arange(len(values))
+        pick = np.where(sign > 0, self.k - 1, 0)
+        vec = V[rows, :, pick]
+        return w[rows, pick], np.einsum("naij,ni,nj->na", grads, vec, vec)
+
     def to_dict(self) -> dict:
         return {
             "d": self.d,
@@ -516,8 +546,9 @@ class MatPoly:
             degree = int(data["degree"])
             entries = {}
             for ent in data["entries"]:
-                p = Poly.from_dict({"d": d, "degree": degree, "terms": ent["terms"]})
-                entries[(int(ent["i"]), int(ent["j"]))] = p
+                if (key := (int(ent["i"]), int(ent["j"]))) in entries:
+                    raise ValueError(f"malformed matrix polynomial JSON: entry {key} listed twice")
+                entries[key] = Poly.from_dict({"d": d, "degree": degree, "terms": ent["terms"]})
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed matrix polynomial JSON: {exc}") from exc
         return cls(d, k, degree, entries)
@@ -584,6 +615,10 @@ class SupNormEstimate:
 # at most this many units of eps * max|value| cannot change a value beyond
 # rounding, so the row stops there.
 _FLOOR_ULPS = 8.0
+
+# Iteration cap and gradient tolerance of the multistart searches.
+_ASCENT_ITERS = 200
+_ASCENT_GRAD_TOL = 1e-8
 
 
 def _project_rows(X: np.ndarray) -> np.ndarray:
@@ -671,32 +706,23 @@ def _multistart(target: Poly | MatPoly, starts: tuple[np.ndarray, ...],
     """_ascend from each block of start rows in ``starts`` on the side of its
     sign in ``signs`` (+1 climbs to the maximum, -1 descends to the minimum),
     as one batch of all the rows.  Each step makes one gradient evaluation
-    and takes the values from it by Euler's identity; for a matrix the ascent
-    follows the extreme eigenvalue on the row's side, whose gradient is
-    v^T (dF/dx_a) v.  Returns, per block, the values at the final points,
-    evaluated once directly, the final points, whether each row stopped
-    before the iteration cap, and whether it stopped at the rounding floor."""
+    and takes the values from it by Euler's identity; the target's
+    _extreme_step picks what a row follows (for a matrix, the extreme
+    eigenvalue on its side).  Returns, per block, the values (extremes) at
+    the final points, evaluated once directly, the final points, whether
+    each row stopped before the iteration cap, and whether it stopped at the
+    rounding floor."""
     sizes = [len(X0) for X0 in starts]
     sign = np.repeat(signs, sizes)
-    matrix = isinstance(target, MatPoly)
 
     def value_grad(X, sign):
         grads = target.gradient_many(X)
-        vals = _euler_values(target, X, grads)
-        if matrix:
-            w, V = np.linalg.eigh(vals)
-            rows = np.arange(X.shape[0])
-            pick = np.where(sign > 0, target.k - 1, 0)
-            vec = V[rows, :, pick]
-            vals = w[rows, pick]
-            grads = np.einsum("naij,ni,nj->na", grads, vec, vec)
+        vals, grads = target._extreme_step(_euler_values(target, X, grads), grads, sign)
         return sign * vals, sign[:, None] * grads
 
     X, small_grad, floor = _ascend(value_grad, np.concatenate(starts), sign, iters, grad_tol)
-    vals = target.eval_many(X)
-    if matrix:
-        w = np.linalg.eigvalsh(vals)
-        vals = np.where(sign > 0, w[:, -1], w[:, 0])
+    low, high = target.extremes(X)
+    vals = np.where(sign > 0, high, low)
     cuts = np.cumsum(sizes)[:-1]
     return list(zip(*(np.split(a, cuts) for a in (vals, X, small_grad | floor, floor))))
 
@@ -715,8 +741,8 @@ def sup_norm_sphere(
     target: Poly | MatPoly,
     restarts: int = 64,
     seed: int = 0,
-    iters: int = 200,
-    grad_tol: float = 1e-8,
+    iters: int = _ASCENT_ITERS,
+    grad_tol: float = _ASCENT_GRAD_TOL,
 ) -> SupNormEstimate:
     """Estimate max / min of a polynomial (or of the eigenvalue range of a
     matrix polynomial) over the unit sphere by multistart projected gradient
@@ -765,8 +791,8 @@ def min_sphere(
     target: Poly | MatPoly,
     restarts: int = 64,
     seed: int = 0,
-    iters: int = 200,
-    grad_tol: float = 1e-8,
+    iters: int = _ASCENT_ITERS,
+    grad_tol: float = _ASCENT_GRAD_TOL,
 ) -> MinEstimate:
     """The minimum search of sup_norm_sphere without its maximum search:
     ``restarts`` descent rows from the same start points.  min_est agrees

@@ -2,6 +2,8 @@
 
 import copy
 import itertools
+import json
+import os
 
 import numpy as np
 import pytest
@@ -186,24 +188,66 @@ RANGE_FAMILIES = {
     "sextic_d3": (3, 6, None, 12),
     "quartic_d4": (4, 4, None, 8),
 }
+RANGE_INPUTS = 200
+RANGE_RESTARTS = 1024
+# sup_norm_sphere's (max_est, min_est) at RANGE_RESTARTS restarts for every
+# range_input, written by tests/make_range_reference.py
+RANGE_REFERENCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                               "range_reference.json")
+
+
+def range_input(family, seed):
+    d, degree, k, _ = RANGE_FAMILIES[family]
+    rng = np.random.default_rng((200, seed))
+    return rand_homog(d, degree, rng) if k is None else rand_matpoly(d, k, degree, rng)
 
 
 @pytest.mark.parametrize("family", sorted(RANGE_FAMILIES))
 def test_node_range_contains_multistart_range(family):
     # the polish from the rule's grid peaks finds every extreme that 1,024
-    # random restarts find, on 200 dense inputs per family
+    # random restarts find, on 200 dense inputs per family; the first
+    # input's search runs here too, so that a stale reference file fails
     from spheresos.certificate import _node_range, _rule_shape, _witness_rule
 
     d, degree, k, ell = RANGE_FAMILIES[family]
     rule_degree = 2 * ell + degree
     rule, shape = _witness_rule(d, rule_degree), _rule_shape(d, rule_degree)
-    for seed in range(200):
-        rng = np.random.default_rng((200, seed))
-        F = rand_homog(d, degree, rng) if k is None else rand_matpoly(d, k, degree, rng)
-        ref = sup_norm_sphere(F, restarts=1024, seed=seed)
+    with open(RANGE_REFERENCE) as fh:
+        ref = json.load(fh)
+    assert ref["restarts"] == RANGE_RESTARTS
+    ref_max, ref_min = ref["families"][family]["max"], ref["families"][family]["min"]
+    assert len(ref_max) == len(ref_min) == RANGE_INPUTS
+    for seed in range(RANGE_INPUTS):
+        F = range_input(family, seed)
+        tol = 1e-12 * (ref_max[seed] - ref_min[seed])
+        if seed == 0:
+            live = sup_norm_sphere(F, restarts=RANGE_RESTARTS, seed=seed)
+            assert abs(live.max_est - ref_max[0]) <= tol and abs(live.min_est - ref_min[0]) <= tol
         m, M, _ = _node_range(F, rule, shape)
-        tol = 1e-12 * (ref.max_est - ref.min_est)
-        assert M >= ref.max_est - tol and m <= ref.min_est + tol, seed
+        assert M >= ref_max[seed] - tol and m <= ref_min[seed] + tol, seed
+
+
+@pytest.mark.parametrize("d, degree, ell", [(3, 2, 8), (3, 4, 12), (4, 4, 8), (5, 4, 12)])
+def test_one_by_one_matrix_takes_the_scalar_bits(d, degree, ell):
+    # d = 5 has no cubature rule, so its range and witness are searched
+    from spheresos.certificate import _node_range, _rule_shape, _witness_rule
+
+    def fields(est):
+        return {k: v.coords.tolist() if hasattr(v, "coords") else v for k, v in vars(est).items()}
+
+    p = rand_homog(d, degree, np.random.default_rng(40 + d + degree))
+    F = MatPoly.diagonal([p])
+    for search in (sup_norm_sphere, min_sphere):
+        a, b = (search(G, restarts=16, seed=1) for G in (p, F))
+        assert fields(b) == fields(a)
+    rule_degree = 2 * ell + degree
+    rule, shape = _witness_rule(d, rule_degree), _rule_shape(d, rule_degree)
+    if d <= 4:
+        assert _node_range(F, rule, shape) == _node_range(p, rule, shape)
+    a, b = (build_certificate(G, ell=ell, restarts=16, seed=1) for G in (p, F))
+    assert b.normalization == a.normalization
+    assert b.verification == a.verification
+    assert [q.entry(0, 0).terms for q in b.H.parts] == [q.terms for q in a.H.parts]
 
 
 def test_certificate_upper_bound_statement():
@@ -244,18 +288,18 @@ def test_report_carries_witness_search_counts():
     rep = cert.verification
     assert rep.witness_check == "multistart"
     assert rep.witness_min == est.min_est
-    assert rep.witness_restarts == 10
-    assert rep.witness_restarts_converged == est.converged_restarts
-    out = rep.to_dict()
-    assert out["witness_check"] == "multistart"
-    assert "witness_rule" not in out
-    assert out["witness_search"] == {
+    assert rep.witness_rule is None
+    assert rep.witness_search == {
         "restarts": 10,
         "converged": est.converged_restarts,
         "floor": est.floor_restarts,
     }
+    out = rep.to_dict()
+    assert out["witness_check"] == "multistart"
+    assert "witness_rule" not in out
+    assert out["witness_search"] == rep.witness_search
     capped = any("iteration cap" in note for note in rep.notes)
-    assert capped == (rep.witness_restarts_converged < rep.witness_restarts)
+    assert capped == (est.converged_restarts < 10)
 
 
 def test_report_carries_witness_rule():
@@ -286,10 +330,11 @@ def test_cap_note_counts_capped_restarts(monkeypatch):
         lambda target, **kw: min_sphere(target, iters=2, **kw),
     )
     rep = verify_certificate(F, cert, restarts=10, seed=12)
-    capped = rep.witness_restarts - rep.witness_restarts_converged
+    search = rep.witness_search
+    capped = search["restarts"] - search["converged"]
     assert capped > 0
     assert f"witness positivity search hit iteration cap in {capped} of 10 restarts" in rep.notes
-    assert 0 <= rep.witness_restarts_floor <= rep.witness_restarts_converged
+    assert 0 <= search["floor"] <= search["converged"]
 
 
 def test_cubature_check_runs_no_search(monkeypatch):

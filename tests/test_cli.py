@@ -406,6 +406,27 @@ def test_certify_non_finite_coefficient_exits_1(tmp_path, capsys):
     assert "coefficient nan of (0, 2, 2) is not finite" in capsys.readouterr().err
 
 
+def test_certify_repeated_exponent_exits_1(tmp_path, capsys):
+    path, out = tmp_path / "twice.json", tmp_path / "c.json"
+    terms = [{"exp": [2, 0], "coef": 1.0}, {"exp": [0, 2], "coef": 1.0},
+             {"exp": [2, 0], "coef": 2.0}]
+    path.write_text(json.dumps({"d": 2, "degree": 2, "terms": terms}))
+    assert main(["certify", "--input", str(path), "--ell", "4", "--out", str(out)]) == 1
+    assert "exponent [2, 0] listed twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_certify_repeated_matrix_entry_exits_1(tmp_path, capsys):
+    path, out = tmp_path / "twice.json", tmp_path / "c.json"
+    terms = [{"exp": [2, 0], "coef": 1.0}, {"exp": [0, 2], "coef": 1.0}]
+    entries = [{"i": 0, "j": 0, "terms": terms}, {"i": 0, "j": 1, "terms": terms},
+               {"i": 0, "j": 1, "terms": terms}]
+    path.write_text(json.dumps({"d": 2, "k": 2, "degree": 2, "entries": entries}))
+    assert main(["certify", "--input", str(path), "--ell", "4", "--out", str(out)]) == 1
+    assert "entry (0, 1) listed twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_qsep_non_finite_operator_exits_1(tmp_path, capsys, maxent_file):
     payload = json.loads(maxent_file.read_text())
     payload["re"][1][2] = math.nan

@@ -362,6 +362,19 @@ def test_sup_norm_scalar_equals_one_by_one_matrix(seed):
     assert b.converged_restarts == a.converged_restarts
 
 
+def test_extremes_read_the_values_or_the_eigenvalue_ends():
+    rng = np.random.default_rng(50)
+    X = sample_sphere_array(3, 50, seed=3)
+    p = rand_homog(3, 4, rng)
+    low, high = p.extremes(X)
+    values = p.eval_many(X)
+    assert np.array_equal(low, values) and np.array_equal(high, values)
+    F = MatPoly(3, 3, 2, {(i, j): rand_homog(3, 2, rng) for i in range(3) for j in range(i, 3)})
+    low, high = F.extremes(X)
+    w = np.linalg.eigvalsh(F.eval_many(X))
+    assert np.array_equal(low, w[:, 0]) and np.array_equal(high, w[:, -1])
+
+
 def test_sup_norm_converged_restart_count():
     p = rand_homog(3, 4, np.random.default_rng(32))
     done = sup_norm_sphere(p, restarts=10, seed=0)
