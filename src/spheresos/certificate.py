@@ -20,9 +20,14 @@ with at most WITNESS_NODE_BUDGET nodes, the positivity check reads the
 witness at its nodes: a "cubature" check, exact up to rounding and
 independent of the seed and restart count.  Beyond it the check is a
 "multistart" descent search for the witness minimum (poly.min_sphere),
-which is not certified.  The same split holds for build_certificate's
-range estimate, which is not certified on either side: a polish from the
-rule's best nodes within the budget, poly.sup_norm_sphere beyond it.
+which is not certified.  The range estimate [m, M] takes the same split
+and is not certified on either side.
+
+The witness also bounds F.  K^{-1} fixes |x|^{2n}, so K^{-1}F =
+m + (M - m)(H - delta) on the sphere.  With lo and hi its least and
+greatest node values, hi |x|^{2n} - F = sum_i w_i (hi - K^{-1}F(y_i))
+q(<x, y_i>)^2 and F - lo |x|^{2n} likewise are explicit sums of squares,
+so lo <= F <= hi whatever [m, M] and the witness sign are.
 
 Construction and verification share one computation of the targets (the
 harmonic parts of G + delta) and one set of checks, so a build decomposes
@@ -44,8 +49,7 @@ import numpy as np
 
 from .gegenbauer import GegenbauerBasis
 from .harmonic import HarmonicDecomp, decompose
-from .poly import (_ASCENT_GRAD_TOL, _ASCENT_ITERS, MatPoly, Poly, _multistart, min_sphere,
-                   sup_norm_sphere)
+from .poly import MatPoly, Poly, _integers, min_sphere, sup_norm_sphere
 from .rho import DegenerateKernelError, KernelSpec, kernel_for, kernel_lambdas, slack
 
 
@@ -64,12 +68,6 @@ TOL_MARGIN = 1e-10
 # (2,420 nodes: qsep with d_B = 2 at ell = 8) fits; one of degree 34
 # (12,996 nodes) took about 5x longer than the descent search it replaces.
 WITNESS_NODE_BUDGET = 4_000
-
-# Most rule nodes per side that build_certificate polishes into the range,
-# the best grid peaks.  On 1,800 seeded in-budget inputs, 4 missed a
-# 1,024-restart range 5 times, 8 and 16 never.  The 16 best nodes outright
-# missed twice: all sat on one of two near-equal maxima of a d = 4 quartic.
-RANGE_NODE_STARTS = 16
 
 
 @dataclass
@@ -91,6 +89,10 @@ class VerificationReport:
     witness_check: str = "multistart"
     witness_rule: dict | None = None
     witness_search: dict | None = None
+    # lo and hi of the module docstring: lower_bound from witness_min (and as
+    # certified as it), upper_bound only where the witness check read a rule.
+    lower_bound: float | None = None
+    upper_bound: float | None = None
 
     def to_dict(self) -> dict:
         return {k: v for k, v in vars(self).items() if v is not None}
@@ -114,12 +116,21 @@ class Certificate:
     range_search: str = "none"
 
     def certified_upper_bound(self) -> float:
-        """m + (M - m) (1 + delta).  This bounds the original input from
-        above only if the stored M is a true maximum, which the range
-        estimate does not prove.  The witness implies the lower bound
-        m + (M - m) (witness_min - delta), witness_min from the report."""
+        """hi >= F on the sphere (F's top eigenvalue, for a matrix): the
+        report's upper_bound, recomputed from the stored H so that a
+        certificate loaded without its report gives the same bits.  Beyond
+        the node budget the maximum of H is searched instead (sup_norm_sphere
+        at its default restarts and seed), which is not certified."""
+        witness = self.H.reconstruct()
+        rule = _witness_rule(self.spec.d, 2 * (self.spec.ell + self.H.n))
+        top = (sup_norm_sphere(witness).max_est if rule is None
+               else float(witness.extremes(rule)[1].max()))
+        return self._unnormalized(top)
+
+    def _unnormalized(self, h: float) -> float:
+        """The value m + (M - m)(h - delta) of K^{-1}F where H takes h."""
         m, M = self.normalization
-        return m + (M - m) * (1.0 + self.delta)
+        return m + (M - m) * (h - self.delta)
 
     def to_dict(self) -> dict:
         out = {
@@ -146,11 +157,9 @@ class Certificate:
                              f"got {type(data).__name__}")
         try:
             s = data["spec"]
-            spec = KernelSpec(
-                d=int(s["d"]), ell=int(s["ell"]), n=int(s["n"]),
-                e=np.asarray(s["e"], dtype=float),
-                lambdas=np.asarray(s["lambdas"], dtype=float),
-            )
+            spec = KernelSpec(*_integers((s["d"], s["ell"], s["n"]), "spec (d, ell, n)"),
+                              e=np.asarray(s["e"], dtype=float),
+                              lambdas=np.asarray(s["lambdas"], dtype=float))
             norm = (float(data["normalization"]["m"]), float(data["normalization"]["M"]))
             H = HarmonicDecomp.from_dict(data["H"])
             delta = float(data["delta"])
@@ -201,30 +210,30 @@ def build_certificate(
 ) -> Certificate:
     """Certify that (F - m)/(M - m) + delta is L-SOS on the sphere.
 
-    F must be homogeneous of even degree 2n.  When bounds is omitted the
-    range [m, M] on the sphere is estimated, not certified.  Where the
-    witness check reads a rule of degree 2 ell + 2n (see _witness_rule), F
-    is evaluated at its nodes, and on each side the best of the nodes that
-    beat their grid neighbours (at most RANGE_NODE_STARTS) are polished by
-    one ascent batch, so restarts and seed play no part in the range;
-    elsewhere the estimate is sup_norm_sphere's multistart search.  delta
-    defaults to the theorem value (B_{2n}/2) rho_{2n}(d, L).
+    F must be homogeneous of even degree 2n.  bounds = (m, M) needs M >= m;
+    when omitted the range is estimated, not certified: where the witness
+    check reads a rule of degree 2 ell + 2n (see _witness_rule) it is F's
+    extremes (extreme eigenvalues, for a matrix) at the rule's nodes,
+    elsewhere sup_norm_sphere's multistart search.  delta defaults to the
+    theorem value (B_{2n}/2) rho_{2n}(d, L).
     A constant (n = 0) takes the constant kernel q = 1 and is certified as
-    F + delta with normalization (0, 1); an input constant on the sphere is
-    normalized by (m, m + 1).  The returned certificate targets the
-    normalized G in [0, 1] and carries the report of the checks
-    verify_certificate runs, made on the targets just built with witness
-    tolerance tol_witness; on witness positivity failure it is returned with
-    verification.passed False rather than raising (user-supplied slacks may
-    legitimately fail)."""
+    F + delta with normalization (0, 1); an input constant on the sphere
+    (M = m) is normalized by (m, m + 1).  The returned certificate carries
+    the report of the checks verify_certificate runs, made on the targets
+    just built with witness tolerance tol_witness, and is returned with
+    verification.passed False rather than raising when they fail.  Within
+    the node budget the report's lower_bound and upper_bound hold either
+    way; passed adds the kernel, Funk-Hecke and margin checks and
+    lower_bound >= m - (delta + tol_witness)(M - m), the theorem's slack on
+    this instance."""
     if F.degree % 2 != 0:
         raise ValueError("input degree must be even")
     if ell < 1:
         raise ValueError("ell must be >= 1")
     if delta is not None and not math.isfinite(delta):
         raise ValueError(f"delta must be finite, got {delta!r}")
-    if bounds is not None and not np.isfinite(bounds).all():
-        raise ValueError(f"bounds must be finite, got {bounds!r}")
+    if bounds is not None and not (np.isfinite(bounds).all() and bounds[1] >= bounds[0]):
+        raise ValueError(f"bounds must be finite with M >= m, got {bounds!r}")
     n = F.degree // 2
     d = F.d
 
@@ -235,8 +244,9 @@ def build_certificate(
         if bounds is not None:
             m, M = float(bounds[0]), float(bounds[1])
         elif (rule := _witness_rule(d, degree)) is not None:
-            m, M, (top, bottom) = _node_range(F, rule, _rule_shape(d, degree))
-            range_search = f"nodes({top}+{bottom} of {len(rule)})"
+            bottom, top = F.extremes(rule)
+            m, M = float(bottom.min()), float(top.max())
+            range_search = f"nodes({len(rule)})"
         else:
             est = sup_norm_sphere(F, restarts=restarts, seed=seed)
             m, M = est.min_est, est.max_est
@@ -264,30 +274,6 @@ def build_certificate(
                        range_search=range_search)
     cert.verification = _check(cert, G, targets, restarts, seed, tol_witness)
     return cert
-
-
-def _node_range(F: Poly | MatPoly, nodes: np.ndarray, shape: list[int]):
-    """(m, M) of F on the sphere (of its extreme eigenvalues, for a matrix)
-    from its values at the rule nodes, each side polished by one ascent
-    batch from its best RANGE_NODE_STARTS grid peaks; also the number of
-    rows polished per side."""
-    bottom, top = F.extremes(nodes)
-    best = tuple(nodes[_grid_peaks(v, shape)[:RANGE_NODE_STARTS]] for v in (top, -bottom))
-    (vmax, *_), (vmin, *_) = _multistart(F, best, (1.0, -1.0), _ASCENT_ITERS, _ASCENT_GRAD_TOL)
-    return (float(min(vmin.min(), bottom.min())), float(max(vmax.max(), top.max())),
-            tuple(map(len, best)))
-
-
-def _grid_peaks(values: np.ndarray, shape: list[int]) -> np.ndarray:
-    """Indices of the nodes of sphere_quadrature's product grid (node counts
-    ``shape``, circle first) whose value is at least that of the next node
-    either way along each coordinate, best first.  The circle wraps around;
-    a polar coordinate does not."""
-    pad = [(1, 1)] * (len(shape) - 1) + [(0, 0)]
-    g = np.pad(values.reshape(shape[::-1]), pad, constant_values=-np.inf)
-    peak = np.logical_and.reduce([g >= np.roll(g, s, a) for a in range(g.ndim) for s in (1, -1)])
-    idx = np.flatnonzero(peak[(slice(1, -1),) * (g.ndim - 1)])
-    return idx[np.argsort(-values[idx])]
 
 
 def verify_certificate(
@@ -344,8 +330,10 @@ def _check(cert: Certificate, G, targets: list, restarts: int, seed: int,
     witness = cert.H.reconstruct()
     degree = 2 * (spec.ell + n)
     rule = _witness_rule(spec.d, degree)
+    upper_bound = None
     if rule is not None:
-        witness_min = float(witness.extremes(rule)[0].min())
+        low, high = witness.extremes(rule)
+        witness_min, upper_bound = float(low.min()), cert._unnormalized(float(high.max()))
         how = {"witness_check": "cubature", "witness_rule": {"nodes": len(rule), "degree": degree}}
     else:
         est = min_sphere(witness, restarts=restarts, seed=seed)
@@ -376,6 +364,8 @@ def _check(cert: Certificate, G, targets: list, restarts: int, seed: int,
         eq15_margin=margin,
         checks=checks,
         notes=notes,
+        lower_bound=cert._unnormalized(witness_min),
+        upper_bound=upper_bound,
         **how,
     )
 

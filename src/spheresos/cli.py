@@ -153,10 +153,12 @@ def _cmd_certify(args) -> int:
     payload = {"seed": args.seed, "ell": args.ell, "certificate": cert.to_dict()}
     _write_artifact(args, _json_text(payload))
     rep = cert.verification
+    upper = "n/a" if rep.upper_bound is None else f"{rep.upper_bound:.6g}"
     print(
         f"certify: n={cert.spec.n} ell={cert.spec.ell} delta={cert.delta:.6g} "
         f"witness_min={rep.witness_min:.3e} witness_check={_witness_how(rep)} "
-        f"margin={rep.eq15_margin:.3e} range={cert.range_search} passed={rep.passed}",
+        f"margin={rep.eq15_margin:.3e} range={cert.range_search} "
+        f"bounds=[{rep.lower_bound:.6g}, {upper}] passed={rep.passed}",
         file=sys.stderr,
     )
     return 0 if rep.passed else 2
@@ -262,8 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=64,
                    help="restarts of the range and witness positivity searches, used "
                    "only where no cubature rule fits the node budget (d > 4 or a large "
-                   "ell); within it the range is polished from the best rule nodes, "
-                   "which is still not certified")
+                   "ell); within it the range is read at the rule's nodes")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_certify)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .poly import MatPoly, Poly, from_dict
+from .poly import MatPoly, Poly, _integers, from_dict
 
 
 def _falling(a: float, m: int) -> float:
@@ -88,7 +88,7 @@ class HarmonicDecomp:
     @classmethod
     def from_dict(cls, data: dict) -> "HarmonicDecomp":
         # The "matrix" key is derived from the parts and not read back.
-        return cls(n=int(data["n"]), parts=[from_dict(p) for p in data["parts"]])
+        return cls(n=_integers((data["n"],), "n")[0], parts=[from_dict(p) for p in data["parts"]])
 
 
 def decompose(f: Poly | MatPoly) -> HarmonicDecomp:

@@ -39,6 +39,18 @@ import numpy as np
 _EVAL_CHUNK_ENTRIES = 4_000_000
 
 
+def _integers(values, what: str) -> tuple[int, ...]:
+    """values as ints; one that is not integral (a JSON 2.7, inf) is
+    refused, not truncated, with what naming them."""
+    try:
+        out = tuple(map(int, values))
+    except (OverflowError, TypeError, ValueError):
+        out = None
+    if out != tuple(values):
+        raise ValueError(f"{what} {list(values)} has an entry that is not an integer")
+    return out
+
+
 def _graded_lex_key(exps: tuple[int, ...]):
     return tuple(-e for e in exps)
 
@@ -179,7 +191,7 @@ class Poly:
             raise ValueError("degree must be >= 0")
         clean = {}
         for exps, coef in terms.items():
-            exps = tuple(int(e) for e in exps)
+            exps = _integers(exps, "multi-index")
             if len(exps) != d:
                 raise ValueError(f"multi-index {exps} has length {len(exps)}, expected {d}")
             if any(e < 0 for e in exps):
@@ -220,7 +232,7 @@ class Poly:
 
     @classmethod
     def monomial(cls, d: int, exps, coef: float = 1.0) -> "Poly":
-        exps = tuple(int(e) for e in exps)
+        exps = _integers(exps, "multi-index")
         return cls(d, sum(exps), {exps: coef})
 
     def identity_like(self, degree: int, value: float) -> "Poly":
@@ -371,8 +383,7 @@ class Poly:
     @classmethod
     def from_dict(cls, data: dict) -> "Poly":
         try:
-            d = int(data["d"])
-            degree = int(data["degree"])
+            d, degree = _integers((data["d"], data["degree"]), "(d, degree)")
             terms = {}
             for t in data["terms"]:
                 if (e := tuple(t["exp"])) in terms:
@@ -541,12 +552,10 @@ class MatPoly:
     @classmethod
     def from_dict(cls, data: dict) -> "MatPoly":
         try:
-            d = int(data["d"])
-            k = int(data["k"])
-            degree = int(data["degree"])
+            d, k, degree = _integers((data["d"], data["k"], data["degree"]), "(d, k, degree)")
             entries = {}
             for ent in data["entries"]:
-                if (key := (int(ent["i"]), int(ent["j"]))) in entries:
+                if (key := _integers((ent["i"], ent["j"]), "entry (i, j)")) in entries:
                     raise ValueError(f"malformed matrix polynomial JSON: entry {key} listed twice")
                 entries[key] = Poly.from_dict({"d": d, "degree": degree, "terms": ent["terms"]})
         except (KeyError, TypeError) as exc:

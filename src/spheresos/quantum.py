@@ -306,13 +306,12 @@ def bss_gap_certificate(
     h_lower comes from alternating maximization.  One certificate of
     F = (gamma I - P(y~))/gamma on S^{2 d_B - 1} at level ell, with P the
     realified M and gamma = lambda_max(M) (so 0 <= F <= I and the theorem's
-    slack makes the witness nonnegative), gives, with mu the witness minimum,
-    h_certified_upper = gamma (1 + delta - mu) = max_y lambda_max(K^{-1} P(y)):
-    H - mu I >= 0 makes F + delta - mu an explicit SOS, for any gamma > 0.
-    The bound is certified where mu is read on a cubature rule and rests on
-    the multistart witness search beyond the node budget.  A witness that
-    fails positivity (M block-positive only to the input check's 1e-8) comes
-    back as the failed certificate."""
+    slack makes the witness nonnegative), gives, from its F >= lower_bound,
+    h_certified_upper = gamma (1 - lower_bound) = max_y lambda_max(K^{-1} P(y))
+    for any gamma > 0.  The bound is certified where the witness is read on
+    a cubature rule and rests on the multistart witness search beyond the
+    node budget.  A witness that fails positivity (M block-positive only to
+    the input check's 1e-8) comes back as the failed certificate."""
     if ell < 2:
         raise ValueError("ell must be >= 2")
     bp = block_positivity_min(M, restarts=restarts, seed=seed)
@@ -327,7 +326,7 @@ def bss_gap_certificate(
     cert = build_certificate(F, ell=ell, bounds=(0.0, 1.0), restarts=restarts, seed=seed)
     return {
         "h_lower": h_low,
-        "h_certified_upper": gamma * (1.0 + cert.delta - cert.verification.witness_min),
+        "h_certified_upper": gamma * (1.0 - cert.verification.lower_bound),
         "gamma": gamma,
         "cert": cert,
         "argmax": (x_best, y_best),

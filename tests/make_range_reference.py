@@ -1,5 +1,5 @@
 """Write tests/data/range_reference.json, the reference ranges of
-test_certificate.test_node_range_contains_multistart_range.
+test_certificate.test_witness_bounds_contain_multistart_range.
 
 For each of the RANGE_INPUTS seeded inputs of each family in RANGE_FAMILIES
 it stores sup_norm_sphere's max_est and min_est at RANGE_RESTARTS restarts,

@@ -203,35 +203,34 @@ def range_input(family, seed):
 
 
 @pytest.mark.parametrize("family", sorted(RANGE_FAMILIES))
-def test_node_range_contains_multistart_range(family):
-    # the polish from the rule's grid peaks finds every extreme that 1,024
-    # random restarts find, on 200 dense inputs per family; the first
-    # input's search runs here too, so that a stale reference file fails
-    from spheresos.certificate import _node_range, _rule_shape, _witness_rule
-
-    d, degree, k, ell = RANGE_FAMILIES[family]
-    rule_degree = 2 * ell + degree
-    rule, shape = _witness_rule(d, rule_degree), _rule_shape(d, rule_degree)
+def test_witness_bounds_contain_multistart_range(family):
+    # the certified sandwich [lower_bound, certified_upper_bound()] contains
+    # every extreme that 1,024 random restarts find, on 200 dense inputs per
+    # family, and every certificate passes; the first input's search runs
+    # here too, so that a stale reference file fails
     with open(RANGE_REFERENCE) as fh:
         ref = json.load(fh)
     assert ref["restarts"] == RANGE_RESTARTS
     ref_max, ref_min = ref["families"][family]["max"], ref["families"][family]["min"]
     assert len(ref_max) == len(ref_min) == RANGE_INPUTS
+    ell = RANGE_FAMILIES[family][3]
     for seed in range(RANGE_INPUTS):
         F = range_input(family, seed)
         tol = 1e-12 * (ref_max[seed] - ref_min[seed])
         if seed == 0:
             live = sup_norm_sphere(F, restarts=RANGE_RESTARTS, seed=seed)
             assert abs(live.max_est - ref_max[0]) <= tol and abs(live.min_est - ref_min[0]) <= tol
-        m, M, _ = _node_range(F, rule, shape)
-        assert M >= ref_max[seed] - tol and m <= ref_min[seed] + tol, seed
+        cert = build_certificate(F, ell=ell)
+        rep = cert.verification
+        assert rep.passed and rep.witness_check == "cubature", seed
+        upper = cert.certified_upper_bound()
+        assert upper == rep.upper_bound, seed
+        assert rep.lower_bound <= ref_min[seed] + tol and upper >= ref_max[seed] - tol, seed
 
 
 @pytest.mark.parametrize("d, degree, ell", [(3, 2, 8), (3, 4, 12), (4, 4, 8), (5, 4, 12)])
 def test_one_by_one_matrix_takes_the_scalar_bits(d, degree, ell):
     # d = 5 has no cubature rule, so its range and witness are searched
-    from spheresos.certificate import _node_range, _rule_shape, _witness_rule
-
     def fields(est):
         return {k: v.coords.tolist() if hasattr(v, "coords") else v for k, v in vars(est).items()}
 
@@ -240,10 +239,6 @@ def test_one_by_one_matrix_takes_the_scalar_bits(d, degree, ell):
     for search in (sup_norm_sphere, min_sphere):
         a, b = (search(G, restarts=16, seed=1) for G in (p, F))
         assert fields(b) == fields(a)
-    rule_degree = 2 * ell + degree
-    rule, shape = _witness_rule(d, rule_degree), _rule_shape(d, rule_degree)
-    if d <= 4:
-        assert _node_range(F, rule, shape) == _node_range(p, rule, shape)
     a, b = (build_certificate(G, ell=ell, restarts=16, seed=1) for G in (p, F))
     assert b.normalization == a.normalization
     assert b.verification == a.verification
@@ -264,6 +259,76 @@ def test_certificate_upper_bound_statement():
     certified_max = M + (M - m) * cert.delta
     assert certified_max >= vals.max()
     assert upper >= -vals.min()
+
+
+@pytest.mark.parametrize("seed, hi, lo", [
+    (0, 0.2629, -1.8293), (1, 1.1605, -0.6131), (2, 2.2009, -0.5420)])
+def test_upper_bound_holds_with_wrong_bounds(seed, hi, lo):
+    # dense d = 3 quartics at ell = 12 given the true minimum and a maximum
+    # of 0, below the true one: the node sandwich does not depend on the
+    # bounds, and certified_upper_bound() stays above the true maximum
+    F = rand_homog(3, 4, np.random.default_rng(seed))
+    est = sup_norm_sphere(F, restarts=1024, seed=seed)
+    cert = build_certificate(F, ell=12, bounds=(est.min_est, 0.0))
+    rep = cert.verification
+    assert rep.passed and rep.witness_check == "cubature"
+    upper = cert.certified_upper_bound()
+    assert upper >= est.max_est
+    assert upper == rep.upper_bound and rep.lower_bound <= est.min_est
+    assert (upper, rep.lower_bound) == pytest.approx((hi, lo), abs=5e-5)
+    free = build_certificate(F, ell=12).verification
+    assert (free.lower_bound, free.upper_bound) == pytest.approx((rep.lower_bound, upper), rel=1e-12)
+
+
+@pytest.mark.parametrize("case", ["quartic_d3", "matrix_k5"])
+def test_node_bounds_give_explicit_sos(case):
+    # hi |x|^{2n} - F = sum_i w_i (hi - K^{-1}F(y_i)) q(<x, y_i>)^2 and
+    # F - lo |x|^{2n} = sum_i w_i (K^{-1}F(y_i) - lo) q(<x, y_i>)^2 at unit
+    # x, with every weight of the two sums positive (semidefinite)
+    from spheresos.gegenbauer import GegenbauerBasis
+
+    rng = np.random.default_rng(45)
+    F, ell = (rand_homog(3, 4, rng), 12) if case == "quartic_d3" else (rand_matpoly(3, 5, 2, rng), 8)
+    cert = build_certificate(F, ell=ell, seed=3)
+    rep = cert.verification
+    hi, lo = cert.certified_upper_bound(), rep.lower_bound
+    Y, w = sphere_quadrature(F.d, 2 * ell + F.degree)
+    X = sample_sphere_array(F.d, 20, seed=46)
+    q = np.tensordot(cert.spec.e, GegenbauerBasis(F.d, ell).orthonormal_values(X @ Y.T), axes=1)
+    m, M = cert.normalization
+    unit = np.eye(F.k) if isinstance(F, MatPoly) else 1.0
+    inverse = m * unit + (M - m) * (cert.H.reconstruct().eval_many(Y) - cert.delta * unit)
+    values = F.eval_many(X)
+    scale = np.abs(values).max()
+    for side, rhs in (((hi * unit) - inverse, hi * unit - values),
+                      (inverse - lo * unit, values - lo * unit)):
+        low = np.linalg.eigvalsh(side)[:, 0] if side.ndim == 3 else side
+        assert low.min() >= -1e-12 * scale
+        assert np.abs(np.tensordot(w * q**2, side, axes=1) - rhs).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_upper_bound_survives_reload(d):
+    # certified_upper_bound() reads the stored witness, so a certificate
+    # loaded without its report gives the same bits; at d = 5, past the
+    # node budget, it is a search and the report has no upper_bound
+    for F in (rand_homog(d, 4, np.random.default_rng(47)),
+              rand_matpoly(d, 3, 2, np.random.default_rng(48))):
+        cert = build_certificate(F, ell=12, seed=5)
+        data = cert.to_dict()
+        loaded = Certificate.from_dict(data)
+        assert loaded.verification is None
+        assert loaded.certified_upper_bound() == cert.certified_upper_bound()
+        assert ("upper_bound" in data["verification"]) == (d == 3)
+        assert data["verification"]["lower_bound"] == cert.verification.lower_bound
+
+
+def test_reversed_bounds_refused():
+    p = rand_homog(3, 4, np.random.default_rng(49))
+    with pytest.raises(ValueError, match=r"bounds must be finite with M >= m, got \(3.0, 1.0\)"):
+        build_certificate(p, ell=8, bounds=(3.0, 1.0))
+    # M = m is the constant-on-the-sphere path
+    assert build_certificate(p, ell=8, bounds=(1.0, 1.0)).normalization == (1.0, 2.0)
 
 
 def test_tampered_certificate_fails_funk_hecke():

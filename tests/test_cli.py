@@ -262,26 +262,31 @@ def test_certify_tolerance_checks_witness_once(tmp_path, quartic_d5_file, monkey
     assert main(["--tol", "1e-6", "certify", "--input", str(path), "--ell", "12",
                  "--out", str(out)]) == 0
     assert calls == {"decompose": 1, "sup_norm_sphere": 1, "min_sphere": 1}
-    assert "range=multistart(" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    low = json.loads(out.read_text())["certificate"]["verification"]["lower_bound"]
+    assert "range=multistart(" in err and f" bounds=[{low:.6g}, n/a] " in err
 
 
 def test_certify_within_budget_searches_only_the_range(tmp_path, quartic_file, monkeypatch,
                                                        capsys):
-    # at d = 3 the witness is read on a 480-node rule, and the range is a
-    # polish from its grid peaks (one antipodal pair at the top, three pairs
-    # at the bottom): no multistart search runs
+    # at d = 3 the witness is read on a 480-node rule, and the range is the
+    # input's extremes at the same nodes: no ascent runs
+    import spheresos.poly as poly_mod
+
     path, _ = quartic_file
     calls = _count_calls(monkeypatch, ("decompose", "sup_norm_sphere", "min_sphere"))
+    monkeypatch.setattr(poly_mod, "_multistart", lambda *a, **k: pytest.fail("ascent ran"))
     out = tmp_path / "cert.json"
     assert main(["--tol", "1e-6", "certify", "--input", str(path), "--ell", "12",
                  "--out", str(out)]) == 0
     assert calls == {"decompose": 1, "sup_norm_sphere": 0, "min_sphere": 0}
     err = capsys.readouterr().err
     assert "witness_check=cubature(480 nodes, degree 28)" in err
-    assert "range=nodes(2+6 of 480)" in err
     verification = json.loads(out.read_text())["certificate"]["verification"]
     assert verification["witness_check"] == "cubature"
     assert verification["witness_rule"] == {"nodes": 480, "degree": 28}
+    low, up = verification["lower_bound"], verification["upper_bound"]
+    assert f"range=nodes(480) bounds=[{low:.6g}, {up:.6g}] passed=True" in err
 
 
 def test_certify_reconstructs_the_witness_once(tmp_path, quartic_file, monkeypatch):
@@ -425,6 +430,44 @@ def test_certify_repeated_matrix_entry_exits_1(tmp_path, capsys):
     assert main(["certify", "--input", str(path), "--ell", "4", "--out", str(out)]) == 1
     assert "entry (0, 1) listed twice" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case, value, message", [
+    ("exponent", 2.7, "multi-index [2.7, 0] has an entry"),
+    ("beside", 2.5, "multi-index [2.5, 0] has an entry"),
+    ("d", 2.5, "(d, degree) [2.5, 2] has an entry"),
+    ("entry", 0.5, "entry (i, j) [0, 0.5] has an entry"),
+    ("k", 2.5, "(d, k, degree) [2, 2.5, 2] has an entry"),
+    ("ell", 4.5, "spec (d, ell, n) [2, 4.5, 1] has an entry"),
+])
+def test_non_integral_json_integer_exits_1(tmp_path, capsys, case, value, message):
+    # int() would truncate each of these (and sum [2.5, 0] into [2, 0]);
+    # every one is refused, naming it
+    terms = [{"exp": [2, 0], "coef": 1.0}, {"exp": [0, 2], "coef": 1.0}]
+    data = {"d": 2, "degree": 2, "terms": terms}
+    if case == "exponent":
+        terms[0]["exp"] = [value, 0]
+    elif case == "beside":
+        terms.append({"exp": [value, 0], "coef": 1.0})
+    elif case == "d":
+        data["d"] = value
+    elif case in ("entry", "k"):
+        data = {"d": 2, "k": value if case == "k" else 2, "degree": 2,
+                "entries": [{"i": 0, "j": value if case == "entry" else 1, "terms": terms}]}
+    path, out = tmp_path / "in.json", tmp_path / "out.json"
+    path.write_text(json.dumps(data))
+    if case == "ell":
+        assert main(["certify", "--input", str(path), "--ell", "4", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        payload["certificate"]["spec"]["ell"] = value
+        out.write_text(json.dumps(payload))
+        argv = ["verify", "--input", str(path), "--cert", str(out)]
+    else:
+        argv = ["certify", "--input", str(path), "--ell", "4", "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert message + " that is not an integer" in capsys.readouterr().err
+    assert case == "ell" or not out.exists()
 
 
 def test_qsep_non_finite_operator_exits_1(tmp_path, capsys, maxent_file):
