@@ -230,6 +230,8 @@ def build_certificate(
         raise ValueError("input degree must be even")
     if ell < 1:
         raise ValueError("ell must be >= 1")
+    if not math.isfinite(tol_witness):
+        raise ValueError(f"tol_witness must be finite, got {tol_witness!r}")
     if delta is not None and not math.isfinite(delta):
         raise ValueError(f"delta must be finite, got {delta!r}")
     if bounds is not None and not (np.isfinite(bounds).all() and bounds[1] >= bounds[0]):
@@ -294,6 +296,8 @@ def verify_certificate(
     the slack margin delta - (B_{2n}/2) sum |1/lambda_{2k} - 1| >= 0.  The
     targets are derived from the stored normalization and slack.
     Report-only."""
+    if not math.isfinite(tol_witness):
+        raise ValueError(f"tol_witness must be finite, got {tol_witness!r}")
     if F.d != cert.spec.d:
         raise ValueError("dimension mismatch between input and certificate")
     if F.degree // 2 != cert.H.n:

@@ -8,10 +8,10 @@ drops the |x| power, which yields a triangular system solved by
 back-substitution.  Scalar and matrix polynomials share the Laplacian,
 |x|^2 multiplication and linear combinations used here, so one function
 decomposes both (a matrix polynomial entry by entry, through the same
-operations).  Whether a decomposition is matrix-valued is read from its
-parts, and its JSON parts reload through poly.from_dict, which tells the
-two apart by their own keys.  A decomposition holds the parts only;
-reconstruct() sums them back for a caller that needs the input again.
+operations).  A decomposition's JSON parts reload through poly.from_dict,
+which tells scalar from matrix parts by their own keys.  A decomposition
+holds the parts only; reconstruct() sums them back for a caller that needs
+the input again.
 """
 
 from __future__ import annotations
@@ -65,11 +65,6 @@ class HarmonicDecomp:
     n: int
     parts: list = field(repr=False)
 
-    @property
-    def matrix(self) -> bool:
-        """Whether the parts are matrix polynomials."""
-        return isinstance(self.parts[0], MatPoly)
-
     def reconstruct(self):
         """Sum of |x|^(2(n-k)) f_{2k}; equals the decomposed input."""
         out = None
@@ -81,13 +76,13 @@ class HarmonicDecomp:
     def to_dict(self) -> dict:
         return {
             "n": self.n,
-            "matrix": self.matrix,
             "parts": [p.to_dict() for p in self.parts],
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "HarmonicDecomp":
-        # The "matrix" key is derived from the parts and not read back.
+        # Older certificates also hold a derived "matrix" key: the parts carry
+        # the type, so it is not read.
         return cls(n=_integers((data["n"],), "n")[0], parts=[from_dict(p) for p in data["parts"]])
 
 

@@ -6,8 +6,9 @@ State value h_Sep(M) = max tr[M rho] over separable rho equals the maximum
 of the Hermitian form (x (x) y)^dag M (x (x) y) over unit x, y; alternating
 eigenvector ascent gives lower bounds, and one sphere certificate of the
 quadratic matrix polynomial realifying M over the 2*d_B real coordinates of
-y gives upper bounds (bss_gap_certificate).  Witness identities for the
-dual cones are verified by sampled evaluation of the bihomogeneous forms.
+y gives upper bounds for every Hermitian M (bss_gap_certificate).  Witness
+identities for the dual cones are verified by sampled evaluation of the
+bihomogeneous forms.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certificate import build_certificate
-from .poly import MatPoly, Poly
+from .poly import MatPoly, Poly, _integers
 
 
 # Measured gap constant for the certified sandwich:
@@ -38,7 +39,9 @@ class QOperator:
     mat: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.dims = [int(x) for x in self.dims]
+        self.dims = list(_integers(self.dims, "dims"))
+        if any(x < 1 for x in self.dims):
+            raise ValueError(f"dims {self.dims} has an entry below 1")
         self.labels = list(self.labels)
         self.mat = np.asarray(self.mat, dtype=complex)
         total = math.prod(self.dims)
@@ -175,6 +178,8 @@ def check_dps_conditions(ext: QOperator, rho: QOperator, tol: float = 1e-8) -> d
     level-ell relaxation: positivity, reduction to rho under tracing out
     B_2..B_ell, invariance under the symmetric projector on the B factors,
     and positivity of every s-fold partial transpose."""
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol!r}")
     ell = len(ext.dims) - 1
     if ell < 1 or ext.labels[0] != "A":
         raise ValueError("extension must have labels A, B1..Bell")
@@ -252,13 +257,6 @@ def hsep_lower(M: QOperator, restarts: int = 32, seed: int = 0) -> tuple[float, 
     return float(val[best]), X[best], Y[best]
 
 
-def block_positivity_min(M: QOperator, restarts: int = 32, seed: int = 0) -> float:
-    """Estimate min over unit x, y of the Hermitian form (inner bound)."""
-    neg = QOperator(dims=list(M.dims), labels=list(M.labels), mat=-M.mat)
-    val, _, _ = hsep_lower(neg, restarts=restarts, seed=seed)
-    return -val
-
-
 def realify(M: QOperator) -> MatPoly:
     """Quadratic matrix polynomial over the realified y coordinates.
 
@@ -301,24 +299,21 @@ def bss_gap_certificate(
     restarts: int = 32,
     seed: int = 0,
 ) -> dict:
-    """Sandwich around the Best Separable State value of a block-positive M.
+    """Sandwich around the Best Separable State value of a Hermitian M.
 
     h_lower comes from alternating maximization.  One certificate of
     F = (gamma I - P(y~))/gamma on S^{2 d_B - 1} at level ell, with P the
-    realified M and gamma = lambda_max(M) (so 0 <= F <= I and the theorem's
-    slack makes the witness nonnegative), gives, from its F >= lower_bound,
-    h_certified_upper = gamma (1 - lower_bound) = max_y lambda_max(K^{-1} P(y))
-    for any gamma > 0.  The bound is certified where the witness is read on
-    a cubature rule and rests on the multistart witness search beyond the
-    node budget.  A witness that fails positivity (M block-positive only to
-    the input check's 1e-8) comes back as the failed certificate."""
+    realified M and gamma = lambda_max(M) (floored at 1e-12), gives, from
+    its F >= lower_bound, h_certified_upper = gamma (1 - lower_bound)
+    = max_y lambda_max(K^{-1} P(y)) for any gamma > 0.  Where the witness
+    is read on a cubature rule the bound comes with an explicit SOS
+    identity and holds for every Hermitian M, block-positive or not; beyond
+    the node budget it rests on the multistart witness search.  passed reports
+    the witness sign: for a block-positive M (0 <= F <= I on the sphere)
+    the theorem's slack makes it true, and otherwise a negative witness
+    comes back as the failed certificate, its bound still standing."""
     if ell < 2:
         raise ValueError("ell must be >= 2")
-    bp = block_positivity_min(M, restarts=restarts, seed=seed)
-    if bp < -1e-8:
-        raise ValueError(
-            f"operator is not block-positive: sampled product minimum {bp:.3e}"
-        )
     h_low, x_best, y_best = hsep_lower(M, restarts=restarts, seed=seed)
     P = realify(M)
     gamma = max(float(np.linalg.eigvalsh(M.mat)[-1]), 1e-12)

@@ -139,8 +139,9 @@ def _basis(d: int, max_degree: int) -> GegenbauerBasis:
 def _family(d: int, window: int, n: int) -> tuple:
     """The family T[C_{2k}/C_{2k}(1)], k = 1..n, on a power-of-two window,
     built by one toeplitz.build call; read-only, since every cell of the
-    window shares it.  A larger cache would only add hits across rho-table
-    calls, which a one-call-per-process CLI never makes."""
+    window shares it.  A process that reads more families than the four
+    entries hold misses and rebuilds them: a certify_qsep bench cycle reads
+    ten (d, window, n) families and misses 8 of its 28 lookups."""
     H = np.zeros((n, 2 * n + 1))
     H[np.arange(n), np.arange(2, 2 * n + 1, 2)] = 1.0
     family = toeplitz.build(_cached_basis(d, window + 2 * n), window, H, kind="gegenbauer")

@@ -181,7 +181,8 @@ def test_matrix_json_certifies_without_flag(tmp_path):
         assert main(["verify", "--input", str(path), "--cert", str(cert_path),
                      "--out", str(ver_path)] + flag) == 0
         texts.append((cert_path.read_text(), ver_path.read_text()))
-    assert json.loads(texts[0][0])["certificate"]["H"]["matrix"] is True
+    parts = json.loads(texts[0][0])["certificate"]["H"]["parts"]
+    assert all("entries" in part for part in parts)
     assert texts[0] == texts[1]
 
 
@@ -193,7 +194,8 @@ def test_scalar_json_with_matrix_flag_certifies_as_scalar(tmp_path, quartic_file
         assert main(["certify", "--input", str(path), "--ell", "8", "--out", str(out)]
                     + flag) == 0
         texts.append(out.read_text())
-    assert json.loads(texts[1])["certificate"]["H"]["matrix"] is False
+    parts = json.loads(texts[1])["certificate"]["H"]["parts"]
+    assert not any("entries" in part for part in parts)
     assert texts[0] == texts[1]
 
 
@@ -477,6 +479,56 @@ def test_qsep_non_finite_operator_exits_1(tmp_path, capsys, maxent_file):
     path.write_text(json.dumps(payload))
     assert main(["qsep", "--op", str(path), "--ell", "8"]) == 1
     assert "matrix entry (1, 2) = (nan+0j) is not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dims, message", [
+    ([2.5, 2], "dims [2.5, 2] has an entry that is not an integer"),
+    ([-2, -2], "dims [-2, -2] has an entry below 1"),
+])
+def test_qsep_bad_dims_exit_1(tmp_path, capsys, maxent_file, dims, message):
+    # int() truncated [2.5, 2] to (2, 2) and ran; [-2, -2] has the 4 x 4 product
+    payload = json.loads(maxent_file.read_text())
+    payload["dims"] = dims
+    path, out = tmp_path / "op.json", tmp_path / "gap.json"
+    path.write_text(json.dumps(payload))
+    assert main(["qsep", "--op", str(path), "--ell", "8", "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_qsep_non_block_positive_operator_writes_its_bound(tmp_path, maxent_file):
+    # I - 2 swap is -1 on product states with x = y: no refusal, the artifact
+    # is written and the exit code is the witness sign's
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    payload = json.loads(maxent_file.read_text())
+    payload["re"] = (np.eye(4) - 2.0 * swap).tolist()
+    path, out = tmp_path / "op.json", tmp_path / "gap.json"
+    path.write_text(json.dumps(payload))
+    assert main(["qsep", "--op", str(path), "--ell", "8", "--out", str(out)]) in (0, 2)
+    payload = json.loads(out.read_text())
+    assert payload["h_lower"] <= payload["h_certified_upper"]
+    Certificate.from_dict(payload["certificate"])
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["certify", "verify", "check-extension"])
+def test_non_finite_tolerance_exits_1(tmp_path, capsys, quartic_file, maxent_file,
+                                      command, value):
+    # nan fails every comparison and inf passes every one, so either would
+    # decide the verdict instead of the checks
+    path, _ = quartic_file
+    cert_path, out = tmp_path / "cert.json", tmp_path / "out.json"
+    if command == "certify":
+        argv = ["certify", "--input", str(path), "--ell", "12", "--out", str(out)]
+    elif command == "verify":
+        assert main(["certify", "--input", str(path), "--ell", "12", "--out", str(cert_path)]) == 0
+        argv = ["verify", "--input", str(path), "--cert", str(cert_path), "--out", str(out)]
+    else:
+        argv = ["qsep", "--check-extension", str(maxent_file), str(maxent_file), "--out", str(out)]
+    capsys.readouterr()
+    assert main(["--tol", value, *argv]) == 1
+    assert f"must be finite, got {value}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_tolerance_override_flag(tmp_path, quartic_file):

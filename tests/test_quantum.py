@@ -7,7 +7,6 @@ import pytest
 
 from spheresos.quantum import (
     QOperator,
-    block_positivity_min,
     bss_gap_certificate,
     check_dps_conditions,
     hermform_value,
@@ -36,6 +35,14 @@ def _maxent(d=2):
     for i in range(d):
         psi[i * d + i] = 1.0 / math.sqrt(d)
     return QOperator.bipartite(np.outer(psi, psi.conj()), d, d)
+
+
+def _swap(d):
+    swap = np.zeros((d * d, d * d))
+    for i in range(d):
+        for j in range(d):
+            swap[i * d + j, j * d + i] = 1.0
+    return swap
 
 
 def _separable(rng, d_a, d_b, terms):
@@ -321,14 +328,8 @@ def test_realify_block_positive_nonpsd():
     # unit vectors even though the matrix has negative eigenvalues
     rng = np.random.default_rng(6)
     d = 2
-    swap = np.zeros((4, 4))
-    for i in range(2):
-        for j in range(2):
-            swap[i * 2 + j, j * 2 + i] = 1.0
-    M = QOperator.bipartite(np.eye(4) + 2.0 * swap, 2, 2)
+    M = QOperator.bipartite(np.eye(4) + 2.0 * _swap(d), 2, 2)
     assert M.min_eigenvalue() < -0.5
-    bp = block_positivity_min(M, restarts=16, seed=7)
-    assert bp >= 1.0 - 1e-8
     P = realify(M)
     for _ in range(50):
         x, y = _unit(rng, d), _unit(rng, d)
@@ -345,8 +346,8 @@ def test_bss_gap_maxent_contains_true_value():
 
 
 def _underestimated_hsep(monkeypatch, factor):
-    # scale every hsep_lower value; block_positivity_min's call on -M still
-    # returns 0 for a PSD M
+    # scale every value hsep_lower returns, which bss_gap_certificate reports
+    # as h_lower
     from spheresos import quantum
 
     true_lower = quantum.hsep_lower
@@ -433,10 +434,54 @@ def test_bss_gap_upper_is_node_maximum():
     assert hsep_lower(M, restarts=512, seed=1)[0] <= out["h_certified_upper"]
 
 
-def test_bss_gap_rejects_non_block_positive():
-    M = QOperator.bipartite(-np.eye(4, dtype=complex), 2, 2)
-    with pytest.raises(ValueError):
-        bss_gap_certificate(M, ell=4, restarts=4, seed=2)
+def _sampled_product_max(M, rng, samples=20_000):
+    d_a, d_b = M.dims
+    x = rng.standard_normal((samples, d_a)) + 1j * rng.standard_normal((samples, d_a))
+    y = rng.standard_normal((samples, d_b)) + 1j * rng.standard_normal((samples, d_b))
+    x /= np.linalg.norm(x, axis=1)[:, None]
+    y /= np.linalg.norm(y, axis=1)[:, None]
+    u = (x[:, :, None] * y[:, None, :]).reshape(samples, -1)
+    return float(np.real(np.einsum("ni,ij,nj->n", u.conj(), M.mat, u)).max())
+
+
+def test_bss_gap_bounds_any_hermitian():
+    # operators that are negative on some product states: -I (lambda_max < 0,
+    # so gamma is floored), I - 2 swap (product form 1 - 2|<x, y>|^2) and a
+    # random indefinite Hermitian.  h_lower is the value of a product pair,
+    # and where the witness is read on the rule the bound is an explicit SOS,
+    # so it holds above every sampled product value whatever passed says
+    rng = np.random.default_rng(23)
+    Z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    cases = [(-np.eye(4), 4), (np.eye(4) - 2.0 * _swap(2), 8),
+             (np.eye(4) - 2.0 * _swap(2), 16), (Z + Z.conj().T, 8)]
+    for mat, ell in cases:
+        M = QOperator.bipartite(mat.astype(complex), 2, 2)
+        assert M.min_eigenvalue() < 0
+        out = bss_gap_certificate(M, ell=ell, restarts=8, seed=1)
+        low, up = out["h_lower"], out["h_certified_upper"]
+        assert hermform_value(M, *out["argmax"]) == pytest.approx(low, abs=1e-12)
+        check = out["cert"].verification.witness_check
+        assert check == ("multistart" if ell == 16 else "cubature"), ell
+        if check == "cubature":
+            top = max(low, _sampled_product_max(M, rng))
+            assert top <= up + 1e-12 * max(1.0, abs(up)), ell
+        assert low <= up, ell
+
+
+def test_bss_gap_makes_one_hsep_lower_call(monkeypatch):
+    from spheresos import quantum
+
+    calls = []
+    true_lower = quantum.hsep_lower
+
+    def lower(M, **kwargs):
+        calls.append(M)
+        return true_lower(M, **kwargs)
+
+    monkeypatch.setattr(quantum, "hsep_lower", lower)
+    M = _maxent(2)
+    bss_gap_certificate(M, ell=8, restarts=4, seed=0)
+    assert len(calls) == 1 and calls[0] is M
 
 
 def test_exposed_gap_constant_holds():
